@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 from pathlib import Path
 
@@ -53,16 +54,29 @@ def record_decode() -> dict:
     }
 
 
+#: Interleaved rounds behind each backend's recorded shard wall-clock.
+SHARD_WALL_ROUNDS = 3
+
+
 def record_shard() -> dict:
     """The shard-throughput benchmark (see ``repro.bench.shard_bench``)."""
     from repro.bench.shard_bench import (
+        SHARD_BENCH_DATASETS,
         SHARD_BENCH_SCALE,
         SHARD_BENCH_WORKERS,
         host_parallelism,
         run_shard_benchmark,
     )
+    from repro.shard.executor import BACKENDS
 
-    results = run_shard_benchmark()
+    # The modelled critical path is the same on every backend; the
+    # wall-clock of each (median of interleaved rounds) is recorded to show
+    # what the process backend buys over inline on this host.
+    runs: dict[str, list] = {backend: [] for backend in BACKENDS}
+    for _ in range(SHARD_WALL_ROUNDS):
+        for backend in BACKENDS:
+            runs[backend].extend(run_shard_benchmark(backend=backend))
+    results = runs["inline"][:len(SHARD_BENCH_DATASETS)]
     total_unsharded = sum(r.unsharded_elapsed for r in results)
     total_critical = sum(r.sharded_critical_elapsed for r in results)
     return {
@@ -77,8 +91,21 @@ def record_shard() -> dict:
         "host_cpu_count": host_parallelism(),
         "note": "speedup is the modelled critical-path ratio, deterministic "
                 "across hosts; wall_speedup additionally depends on "
-                "host_cpu_count (>= workers cores needed to realise it)",
+                "host_cpu_count (>= workers cores needed to realise it); "
+                "results are the inline backend, sharded_seconds_by_backend "
+                "the median wall-clock of the same sharded BFS on every "
+                "backend over wall_rounds interleaved rounds",
         "results": [r.as_row() for r in results],
+        "wall_rounds": SHARD_WALL_ROUNDS,
+        "sharded_seconds_by_backend": {
+            backend: {
+                name: round(statistics.median(
+                    r.sharded_seconds for r in rows if r.dataset == name
+                ), 6)
+                for name in SHARD_BENCH_DATASETS
+            }
+            for backend, rows in runs.items()
+        },
         "min_speedup": round(min(r.speedup for r in results), 2),
         "aggregate_speedup": round(total_unsharded / total_critical, 2),
     }

@@ -149,7 +149,6 @@ class FollowerReplica:
         snapshot: snapshot directory or manifest path to load.
         cdc_path: the primary's CDC log for the same graph name.
         device: optional simulated device for the follower's service.
-        executor_backend: backend for sharded snapshots.
     """
 
     def __init__(
@@ -157,7 +156,6 @@ class FollowerReplica:
         snapshot: str | Path,
         cdc_path: str | Path,
         device: GPUDevice | None = None,
-        executor_backend: str = "inline",
     ) -> None:
         # Imported here: the service layer imports nothing from lifecycle,
         # but a module-level import would still create a cycle through the
@@ -166,9 +164,7 @@ class FollowerReplica:
 
         manifest = read_manifest(resolve_manifest_path(snapshot))
         self.service = TraversalService(device=device)
-        self.entry = self.service.load_graph(
-            snapshot, executor_backend=executor_backend
-        )
+        self.entry = self.service.load_graph(snapshot)
         self.name = manifest["name"]
         #: Logical epoch of the last applied (or snapshotted) record.
         self.applied_epoch = manifest["logical_epoch"]

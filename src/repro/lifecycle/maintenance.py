@@ -15,7 +15,8 @@ door runs one per idle dispatcher wait, see
    shard's encode, not the whole graph's.
 3. **Snapshot + GC** (optional) -- every ``snapshot_every`` ticks, publish
    a snapshot per entry into the configured directory and run retention
-   GC over it.
+   GC over it (process-backed sharded entries, whose state cannot be
+   captured, are skipped).
 
 Every mutation goes through the owning service's public hooks
 (:meth:`~repro.service.TraversalService.compact_graph`,
@@ -192,15 +193,20 @@ class MaintenanceScheduler:
         self.ticks += 1
         report = MaintenanceReport()
         with self.tracer.span("maintenance.tick", tick=self.ticks) as span:
-            self._compact_step(report, should_yield)
-            if not report.yielded:
-                self._rebase_step(report, should_yield)
-            if (
-                not report.yielded
-                and self.config.snapshot_every > 0
-                and self.ticks % self.config.snapshot_every == 0
-            ):
-                self._snapshot_step(report, should_yield)
+            try:
+                self._compact_step(report, should_yield)
+                if not report.yielded:
+                    self._rebase_step(report, should_yield)
+                if (
+                    not report.yielded
+                    and self.config.snapshot_every > 0
+                    and self.ticks % self.config.snapshot_every == 0
+                ):
+                    self._snapshot_step(report, should_yield)
+            finally:
+                # Committed steps count even when a later step raises.
+                self.total_compactions += report.compacted
+                self.total_rebases += len(report.rebased)
             if span.recording:
                 span.annotate(
                     compacted=report.compacted,
@@ -208,8 +214,6 @@ class MaintenanceScheduler:
                     snapshotted=report.snapshotted,
                     yielded=report.yielded,
                 )
-        self.total_compactions += report.compacted
-        self.total_rebases += len(report.rebased)
         return report
 
     def _entries(self):
@@ -293,12 +297,21 @@ class MaintenanceScheduler:
         report: MaintenanceReport,
         should_yield: Callable[[], bool] | None,
     ) -> None:
-        """Publish one snapshot per entry and run retention GC over it."""
+        """Publish one snapshot per entry and run retention GC over it.
+
+        Sharded entries whose overlays live in worker processes cannot be
+        snapshotted (see :attr:`~repro.shard.executor.ShardExecutor.
+        has_local_overlays`); they are skipped so every other entry still
+        gets its snapshot.
+        """
         assert self.directory is not None
         for entry in self._entries():
             if should_yield is not None and should_yield():
                 report.yielded = True
                 return
+            executor = entry.executor
+            if executor is not None and not executor.has_local_overlays:
+                continue
             target = self.directory / entry.name
             with self.tracer.span(
                 "maintenance.snapshot", graph=entry.name

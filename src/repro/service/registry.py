@@ -272,7 +272,7 @@ class GraphRegistry:
         ``"greedy"``, or ``None`` for the hash default), each shard is
         encoded independently, and the entry serves queries through a
         :class:`~repro.shard.executor.ShardExecutor` on
-        ``executor_backend`` (``"inline"``, ``"thread"`` or ``"process"``).
+        ``executor_backend`` (``"inline"`` or ``"process"``).
         """
         config = config or self.default_config
         key = (name, config)
@@ -694,9 +694,8 @@ class GraphRegistry:
         state and are rebuilt lazily after a restore.  The manifest records
         the name's current logical epoch, which is where a CDC follower
         restored from this snapshot resumes the change stream.  Returns the
-        manifest path.  Sharded entries must run on the ``inline`` or
-        ``thread`` backend (process workers' overlay state is not
-        capturable).
+        manifest path.  Sharded entries must run on the ``inline``
+        backend (process workers' overlay state is not capturable).
         """
         from repro.store.snapshot import write_snapshot
 
@@ -705,11 +704,7 @@ class GraphRegistry:
             logical_epoch=self.logical_epoch(name),
         )
 
-    def restore(
-        self,
-        location,
-        executor_backend: str = "inline",
-    ) -> RegisteredGraph:
+    def restore(self, location) -> RegisteredGraph:
         """Load a snapshot back into this registry -- zero re-encoding.
 
         ``location`` is a snapshot directory (its ``manifest.json`` is read)
@@ -747,7 +742,6 @@ class GraphRegistry:
             device=self.device,
             cache_capacity=self.cache_capacity,
             compaction_policy=self.compaction_policy,
-            executor_backend=executor_backend,
             manifest=manifest,
         )
         self._entries[key] = entry

@@ -398,11 +398,7 @@ class TraversalService:
         with self._lock:
             return self.registry.snapshot(name, directory, config)
 
-    def load_graph(
-        self,
-        location,
-        executor_backend: str = "inline",
-    ) -> RegisteredGraph:
+    def load_graph(self, location) -> RegisteredGraph:
         """Restore a saved graph into this service -- the restart path.
 
         ``location`` is a snapshot directory or an explicit (possibly
@@ -412,9 +408,7 @@ class TraversalService:
         cheaper than re-encoding by ``benchmarks/test_store_throughput.py``.
         """
         with self._lock:
-            entry = self.registry.restore(
-                location, executor_backend=executor_backend
-            )
+            entry = self.registry.restore(location)
             self._instrument_entry(entry)
             return entry
 

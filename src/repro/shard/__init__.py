@@ -14,7 +14,7 @@ bulk-synchronous supersteps:
   :class:`~repro.compression.cgr.CGRGraph` read contract;
 * :mod:`repro.shard.executor` -- :class:`ShardExecutor`, a
   :class:`~repro.apps.pipeline.FrontierEngine` whose ``expand`` scatters the
-  frontier to shard engines (inline, thread- or process-backed), gathers the
+  frontier to shard engines (inline or process-backed), gathers the
   decoded neighbours in canonical order, and exchanges the admitted frontier
   between supersteps.  Results are independent of the sharding: identical
   for every partitioner and shard count, bit-identical to the unsharded

@@ -7,10 +7,10 @@ one **superstep** of a bulk-synchronous computation.
 * **Scatter** -- the frontier is routed to owning shards
   (:meth:`~repro.shard.partition.GraphPartition.split_frontier`) and each
   shard expands its share through its own resident
-  :class:`~repro.traversal.gcgt.GCGTEngine`, concurrently across shards,
-  collecting the decoded ``(source, neighbour)`` pairs.  This is where the
-  expensive work -- compressed-adjacency decode and the simulated warp
-  traversal -- parallelises.
+  :class:`~repro.traversal.gcgt.GCGTEngine`, collecting the decoded
+  ``(source, neighbour)`` pairs.  This is where the expensive work --
+  compressed-adjacency decode and the simulated warp traversal --
+  parallelises.
 * **Gather** -- the collected neighbour lists are replayed through the
   application's filter callback in *canonical order* (frontier order, then
   ascending neighbour id), on the coordinator.  Canonical replay decouples
@@ -29,17 +29,22 @@ one **superstep** of a bulk-synchronous computation.
   :attr:`~repro.service.queries.QueryMetrics.shard_fanout` /
   :attr:`~repro.service.queries.QueryMetrics.exchange_volume`.
 
-Three backends share this protocol:
+Every per-shard operation is a module-level function of the shard's
+:class:`_ShardState`, run through :meth:`ShardExecutor._on_shards` -- the
+one place the backend matters:
 
-* ``"inline"`` (default) -- shards expand sequentially in-process; no
-  concurrency overhead, deterministic, the serving default.
-* ``"thread"`` -- a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-  dispatches one task per touched shard.
+* ``"inline"`` (default) -- the coordinator holds every shard's state and
+  calls each shard in turn; deterministic, no IPC.  Its overlays are
+  reachable (:attr:`ShardExecutor.has_local_overlays`), so only it
+  snapshots, restores and rebases.
 * ``"process"`` -- one single-worker process pool per shard; each worker
-  holds its shard's engine resident (encoded once at pool start) and absorbs
-  update batches in place, so supersteps only ship frontier ids in and
-  neighbour lists out.  This is the backend the shard-throughput benchmark
-  gates, since it escapes the interpreter lock.
+  holds its shard's state resident (encoded once at pool start) and
+  applies each shipped function to it, so shards run concurrently outside
+  the interpreter lock and supersteps ship only ids and neighbour lists.
+
+The shard-throughput gate reads the modelled critical-path cost
+(:attr:`ShardExecutor.critical_cost`), the same on both backends, on
+``inline``; ``BENCH_shard.json`` records both backends' wall-clock.
 
 Every shard reads through its own :class:`~repro.dynamic.DeltaOverlay`, so
 :meth:`ShardExecutor.apply_updates` routes an update batch to owner shards
@@ -50,7 +55,7 @@ dynamic path.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable
@@ -76,7 +81,7 @@ from repro.traversal.msbfs import (
 )
 
 #: Supported execution backends.
-BACKENDS = ("inline", "thread", "process")
+BACKENDS = ("inline", "process")
 
 
 class ShardWorkerError(RuntimeError):
@@ -91,7 +96,6 @@ class ShardWorkerError(RuntimeError):
     the shard's only resident engine state -- so the owning registration
     must be rebuilt (re-register or restore the graph).
     """
-
 
 
 @dataclass(frozen=True)
@@ -117,8 +121,39 @@ class ShardCounters:
     elapsed_proxy: float
 
 
-def _expand_collect(
-    engine: GCGTEngine, nodes: list[int]
+# ---------------------------------------------------------------------------
+# Per-shard state and operations (module level so the process backend can
+# ship them to workers by import path).
+# ---------------------------------------------------------------------------
+
+class _ShardState:
+    """One shard's resident engine and overlay plus traversal scratch.
+
+    The engine decodes ``overlay`` through ``cache``.  The scratch arrays
+    span the global id space but are authoritative only for the nodes the
+    shard owns; each traversal resets them first.
+    """
+
+    def __init__(
+        self,
+        overlay: DeltaOverlay,
+        device: GPUDevice,
+        config: GCGTConfig,
+        cache: DecodedAdjacencyCache,
+    ) -> None:
+        self.overlay = overlay
+        self.engine = GCGTEngine(
+            overlay, device=device, config=config, plan_cache=cache
+        )
+        #: Levels of the in-progress/last traversal: one row per node for
+        #: BFS, a ``(lanes, nodes)`` matrix for MS-BFS.
+        self.levels: np.ndarray | None = None
+        #: Per-node lane masks of the in-progress/last MS-BFS.
+        self.seen: np.ndarray | None = None
+
+
+def _shard_expand(
+    state: _ShardState, nodes: list[int]
 ) -> tuple[dict[int, list[int]], KernelMetrics]:
     """One shard's scatter: expand ``nodes``, collect neighbours per source.
 
@@ -135,7 +170,7 @@ def _expand_collect(
         collected[source].add(neighbor)
         return False
 
-    session = engine.new_session()
+    session = state.engine.new_session()
     session.expand(unique, collect)
     return (
         {node: sorted(neighbors) for node, neighbors in collected.items()},
@@ -143,11 +178,13 @@ def _expand_collect(
     )
 
 
-def _bfs_step(
-    engine: GCGTEngine,
-    levels: np.ndarray,
-    candidates: np.ndarray,
-    level: int,
+def _shard_bfs_reset(state: _ShardState) -> None:
+    """Start a fresh BFS: clear the shard's per-node level array."""
+    state.levels = np.full(state.overlay.num_nodes, UNREACHED, dtype=np.int64)
+
+
+def _shard_bfs_step(
+    state: _ShardState, candidates: np.ndarray, level: int
 ) -> tuple[np.ndarray, int, KernelMetrics | None]:
     """One shard's BFS superstep: admit shard-side, expand, emit candidates.
 
@@ -164,6 +201,7 @@ def _bfs_step(
     Levels are distance-determined, so the result is bit-identical to the
     frontier-order admission of the unsharded engine.
     """
+    levels = state.levels
     admitted = candidates[levels[candidates] == UNREACHED]
     levels[admitted] = level
     if len(admitted) == 0:
@@ -175,10 +213,8 @@ def _bfs_step(
         out.append(neighbor)
         return False
 
-    session = engine.new_session()
+    session = state.engine.new_session()
     session.expand([int(node) for node in admitted], collect)
-    if not out:
-        return np.empty(0, dtype=np.int64), len(admitted), session.metrics
     targets = np.unique(np.asarray(out, dtype=np.int64))
     # Owned-and-visited targets can be pruned here; remote targets are the
     # owning shard's call next superstep.
@@ -186,29 +222,33 @@ def _bfs_step(
     return targets, len(admitted), session.metrics
 
 
-def _msbfs_step(
-    engine: GCGTEngine,
-    seen: np.ndarray,
-    lane_levels: np.ndarray,
-    nodes: np.ndarray,
-    masks: np.ndarray,
-    depth: int,
+def _shard_msbfs_reset(state: _ShardState, lanes: int) -> None:
+    """Start a fresh MS-BFS: clear the shard's lane masks and level matrix."""
+    num_nodes = state.overlay.num_nodes
+    state.seen = np.zeros(num_nodes, dtype=np.uint64)
+    state.levels = np.full((lanes, num_nodes), UNREACHED, dtype=np.int64)
+
+
+def _shard_msbfs_step(
+    state: _ShardState, nodes: np.ndarray, masks: np.ndarray, depth: int
 ) -> tuple[np.ndarray, np.ndarray, int, KernelMetrics | None]:
     """One shard's MS-BFS superstep: admit lanes shard-side, expand, emit masks.
 
-    The lane-packed analogue of :func:`_bfs_step`: ``nodes``/``masks`` are
-    globally merged candidate ids owned by this shard with the uint64 lane
-    masks that discovered them last superstep.  Lanes this shard has not yet
-    seen for a node are admitted at ``depth`` and recorded per lane; admitted
-    nodes are expanded **once** through the shard engine -- one adjacency
-    decode serves every packed search -- and each decoded neighbour
-    accumulates the union of its discoverers' admitted masks.  Locally-owned
-    lanes already seen are pruned before the exchange, so a message carries
-    only lanes its target might still need.
+    The lane-packed analogue of :func:`_shard_bfs_step`: ``nodes``/``masks``
+    are globally merged candidate ids owned by this shard with the uint64
+    lane masks that discovered them last superstep.  Lanes this shard has
+    not yet seen for a node are admitted at ``depth`` and recorded per lane;
+    admitted nodes are expanded **once** through the shard engine -- one
+    adjacency decode serves every packed search -- and each decoded
+    neighbour accumulates the union of its discoverers' admitted masks.
+    Locally-owned lanes already seen are pruned before the exchange, so a
+    message carries only lanes its target might still need.
 
     Levels are distance-determined per lane, so the merged result is
     bit-identical to 64 sequential ``bfs()`` runs, whatever the sharding.
     """
+    seen = state.seen
+    lane_levels = state.levels
     gained = masks & ~seen[nodes]
     live = gained != 0
     admitted = nodes[live]
@@ -236,15 +276,8 @@ def _msbfs_step(
         out[neighbor] = out.get(neighbor, 0) | mask_of[source]
         return False
 
-    session = engine.new_session()
+    session = state.engine.new_session()
     session.expand([int(node) for node in admitted], collect)
-    if not out:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.uint64),
-            len(admitted),
-            session.metrics,
-        )
     targets = np.fromiter(out.keys(), dtype=np.int64, count=len(out))
     target_masks = np.fromiter(
         out.values(), dtype=np.uint64, count=len(out)
@@ -259,109 +292,71 @@ def _msbfs_step(
     return targets[keep], target_masks[keep], len(admitted), session.metrics
 
 
-# ---------------------------------------------------------------------------
-# Process-backend worker functions (module level so they pickle).
-# ---------------------------------------------------------------------------
-
-#: Per-process worker state: the shard's engine and overlay, built once.
-_WORKER_STATE: dict = {}
+def _shard_levels(state: _ShardState) -> np.ndarray:
+    """The shard's traversal levels (authoritative for its owned nodes)."""
+    return state.levels
 
 
-def _process_worker_init(
+def _shard_apply(state: _ShardState, batch: list[EdgeUpdate]) -> UpdateStats:
+    """Absorb an update sub-batch into the shard's overlay."""
+    stats = state.overlay.apply(batch)
+    cache = state.engine.plan_cache
+    for node in stats.touched_nodes:
+        cache.invalidate(node)
+    return stats
+
+
+def _shard_live_bits(state: _ShardState) -> int:
+    """Live bits of the shard's overlay (side stream included)."""
+    return state.overlay.live_bits
+
+
+def _shard_adjacency(state: _ShardState, nodes) -> list[list[int]]:
+    """Merged live adjacency of ``nodes`` (all owned by this shard)."""
+    return [state.overlay.neighbors(node) for node in nodes]
+
+
+def _merge_exchange(exchanged: list[tuple]) -> list[np.ndarray]:
+    """Merge the shards' exchange arrays ``(targets, *payload)`` per target:
+    ascending unique targets, each payload (MS-BFS lane masks) OR-merged."""
+    targets, *payloads = (np.concatenate(column) for column in zip(*exchanged))
+    nodes, inverse = np.unique(targets, return_inverse=True)
+    merged = [nodes]
+    for payload in payloads:
+        merged.append(np.zeros(len(nodes), dtype=payload.dtype))
+        np.bitwise_or.at(merged[-1], inverse, payload)
+    return merged
+
+
+#: The process backend's worker-resident shard state, built once by
+#: :func:`_worker_init` (a worker serves exactly one shard).
+_WORKER_STATE: _ShardState | None = None
+
+
+def _worker_init(
     adjacency: list[list[int]],
     config: GCGTConfig,
     cache_capacity: int,
     device: GPUDevice,
     compaction_policy: CompactionPolicy,
 ) -> None:
-    """Build the shard's resident engine inside the worker process.
+    """Build the shard's resident state inside the worker process.
 
     The executor's device and compaction policy are shipped along so the
     worker's cost metrics and compaction behaviour match what the inline
-    and thread backends would produce from the same arguments.
+    backend produces from the same arguments.
     """
+    global _WORKER_STATE
     cgr = CGRGraph.from_adjacency(adjacency, config.effective_cgr_config())
-    overlay = DeltaOverlay(cgr, policy=compaction_policy)
-    cache = DecodedAdjacencyCache(cache_capacity)
-    engine = GCGTEngine(overlay, device=device, config=config, plan_cache=cache)
-    _WORKER_STATE["engine"] = engine
-    _WORKER_STATE["overlay"] = overlay
-
-
-def _process_worker_ping() -> bool:
-    """Confirm the worker finished initialisation (used to warm pools up)."""
-    return "engine" in _WORKER_STATE
-
-
-def _process_worker_expand(
-    nodes: list[int],
-) -> tuple[dict[int, list[int]], KernelMetrics]:
-    """Scatter task: expand ``nodes`` on the worker's resident shard engine."""
-    return _expand_collect(_WORKER_STATE["engine"], nodes)
-
-
-def _process_worker_apply(batch: list[EdgeUpdate]) -> UpdateStats:
-    """Absorb an update sub-batch into the worker's shard overlay."""
-    stats = _WORKER_STATE["overlay"].apply(batch)
-    cache = _WORKER_STATE["engine"].plan_cache
-    for node in stats.touched_nodes:
-        cache.invalidate(node)
-    return stats
-
-
-def _process_worker_live_bits() -> int:
-    """Live bits of the worker's shard overlay (side stream included)."""
-    return _WORKER_STATE["overlay"].live_bits
-
-
-def _process_worker_bfs_reset() -> None:
-    """Start a fresh BFS: clear the worker's per-node level array."""
-    overlay = _WORKER_STATE["overlay"]
-    _WORKER_STATE["bfs_levels"] = np.full(
-        overlay.num_nodes, UNREACHED, dtype=np.int64
+    _WORKER_STATE = _ShardState(
+        DeltaOverlay(cgr, policy=compaction_policy),
+        device, config, DecodedAdjacencyCache(cache_capacity),
     )
 
 
-def _process_worker_bfs_step(
-    candidates: np.ndarray, level: int
-) -> tuple[np.ndarray, int, KernelMetrics | None]:
-    """One BFS superstep on the worker's resident shard (see :func:`_bfs_step`)."""
-    return _bfs_step(
-        _WORKER_STATE["engine"], _WORKER_STATE["bfs_levels"], candidates, level
-    )
-
-
-def _process_worker_bfs_levels() -> np.ndarray:
-    """The worker's level array (authoritative for its owned nodes only)."""
-    return _WORKER_STATE["bfs_levels"]
-
-
-def _process_worker_msbfs_reset(lanes: int) -> None:
-    """Start a fresh MS-BFS: clear the worker's lane masks and level matrix."""
-    overlay = _WORKER_STATE["overlay"]
-    _WORKER_STATE["msbfs_seen"] = np.zeros(overlay.num_nodes, dtype=np.uint64)
-    _WORKER_STATE["msbfs_levels"] = np.full(
-        (lanes, overlay.num_nodes), UNREACHED, dtype=np.int64
-    )
-
-
-def _process_worker_msbfs_step(
-    nodes: np.ndarray, masks: np.ndarray, depth: int
-) -> tuple[np.ndarray, np.ndarray, int, KernelMetrics | None]:
-    """One MS-BFS superstep on the worker's shard (see :func:`_msbfs_step`)."""
-    return _msbfs_step(
-        _WORKER_STATE["engine"],
-        _WORKER_STATE["msbfs_seen"],
-        _WORKER_STATE["msbfs_levels"],
-        nodes,
-        masks,
-        depth,
-    )
-
-
-def _process_worker_msbfs_levels() -> np.ndarray:
-    """The worker's lane-level matrix (authoritative for owned nodes only)."""
-    return _WORKER_STATE["msbfs_levels"]
+def _worker_call(fn: Callable, *args):
+    """Apply a per-shard operation to the worker's resident shard state."""
+    return fn(_WORKER_STATE, *args)
 
 
 class ShardExecutor:
@@ -374,10 +369,8 @@ class ShardExecutor:
 
     Args:
         sharded: the partitioned, per-shard-encoded graph.
-        backend: ``"inline"``, ``"thread"`` or ``"process"`` (see module doc).
-        max_workers: thread-pool width for the ``"thread"`` backend
-            (defaults to the shard count); the ``"process"`` backend always
-            runs one dedicated worker per shard.
+        backend: ``"inline"`` or ``"process"`` (see module doc); the
+            ``"process"`` backend runs one dedicated worker per shard.
         device: simulated device shared by the shard engines (defaults to a
             fresh :class:`~repro.gpu.GPUDevice`).
         config: engine configuration applied to every shard (its encoding
@@ -389,8 +382,8 @@ class ShardExecutor:
             of the persistent store (:mod:`repro.store`), which rebuilds
             overlays with their snapshotted side streams, extents and
             pending deltas.  Each overlay must wrap the corresponding shard
-            of ``sharded``; only the ``inline`` and ``thread`` backends can
-            adopt overlays (process workers build their own state).
+            of ``sharded``; only the ``inline`` backend can adopt overlays
+            (process workers build their own state).
         initial_epoch: coordinator mutation epoch to start from (a restored
             executor resumes at the snapshot's epoch, so
             :attr:`~repro.service.queries.QueryMetrics.graph_epoch` stays
@@ -401,7 +394,6 @@ class ShardExecutor:
         self,
         sharded: ShardedCGRGraph,
         backend: str = "inline",
-        max_workers: int | None = None,
         device: GPUDevice | None = None,
         config: GCGTConfig | None = None,
         cache_capacity: int = 4096,
@@ -413,11 +405,12 @@ class ShardExecutor:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
+        self.backend = backend
         if overlays is not None:
-            if backend == "process":
+            if not self.has_local_overlays:
                 raise ValueError(
-                    "restored overlays require the 'inline' or 'thread' "
-                    "backend; process workers build their own state"
+                    "restored overlays require the 'inline' backend; "
+                    "process workers build their own state"
                 )
             if len(overlays) != sharded.num_shards:
                 raise ValueError(
@@ -433,7 +426,6 @@ class ShardExecutor:
                     )
         self.sharded = sharded
         self.partition = sharded.partition
-        self.backend = backend
         self.device = device or GPUDevice()
         self.config = config or GCGTConfig()
         self.cache_capacity = cache_capacity
@@ -457,9 +449,6 @@ class ShardExecutor:
         #: same thing for every sharded registration.  (Per-shard overlays
         #: keep their own finer-grained epochs for plan-cache keying.)
         self._epoch = initial_epoch
-        #: Last known aggregate live bits; kept current so the process
-        #: backend can still report sizes after :meth:`close`.
-        self._final_live_bits = sharded.total_bits
         #: Simulated critical-path cost: per superstep, the *maximum* of the
         #: participating shards' costs (shards run concurrently, the barrier
         #: waits for the slowest), summed over supersteps.  ``cost() /
@@ -481,70 +470,51 @@ class ShardExecutor:
         self.checkpoint: Callable[[], None] | None = None
         #: Tracing hook, same installation pattern as :attr:`checkpoint`:
         #: the service's telemetry wiring replaces the no-op tracer, after
-        #: which every superstep of :meth:`expand`/:meth:`bfs`/:meth:`msbfs`
-        #: opens one ``superstep`` span (nested under the calling request's
-        #: span tree) carrying per-shard device costs and the step's
-        #: critical-path cost.  The default records nothing and allocates
-        #: nothing.
+        #: which every superstep of :meth:`expand`/:meth:`bfs`/:meth:`msbfs`/
+        #: :meth:`gather_adjacency` opens one ``superstep`` span (nested
+        #: under the calling request's span tree) carrying per-shard device
+        #: costs and the step's critical-path cost.  The default records
+        #: nothing and allocates nothing.
         self.tracer = NOOP_TRACER
 
-        self.engines: list[GCGTEngine] = []
-        self.overlays: list[DeltaOverlay] = []
-        self.plan_caches: list[DecodedAdjacencyCache] = []
-        #: Per-shard level arrays of the in-progress/last BFS (inline/thread).
-        self._bfs_levels: list[np.ndarray] = []
-        #: Per-shard MS-BFS lane masks / lane-level matrices (inline/thread).
-        self._msbfs_seen: list[np.ndarray] = []
-        self._msbfs_levels: list[np.ndarray] = []
-        self._thread_pool: ThreadPoolExecutor | None = None
+        #: Per-shard state held by the coordinator (``inline`` only).
+        self._states: list[_ShardState] = []
+        #: One single-worker pool per shard (``process`` only).
         self._process_pools: list[ProcessPoolExecutor] = []
-
         if backend == "process":
-            policy = compaction_policy or CompactionPolicy()
             for shard in range(sharded.num_shards):
-                pool = ProcessPoolExecutor(
+                self._process_pools.append(ProcessPoolExecutor(
                     max_workers=1,
-                    initializer=_process_worker_init,
+                    initializer=_worker_init,
                     initargs=(
                         sharded.shard_adjacency(shard),
                         self.config,
                         cache_capacity,
                         self.device,
-                        policy,
+                        self.compaction_policy,
                     ),
-                )
-                self._process_pools.append(pool)
-            # Force worker start-up now so construction cost never leaks
-            # into superstep timings and init errors surface eagerly.
-            for shard, pool in enumerate(self._process_pools):
-                if not self._resolve(
-                    shard, pool.submit(_process_worker_ping)
-                ):
-                    raise RuntimeError("shard worker failed to initialise")
+                ))
         else:
-            policy = compaction_policy or CompactionPolicy()
-            for index, shard_cgr in enumerate(sharded.shards):
-                if overlays is not None:
-                    overlay = overlays[index]
-                else:
-                    overlay = DeltaOverlay(shard_cgr, policy=policy)
-                cache = DecodedAdjacencyCache(cache_capacity)
-                engine = GCGTEngine(
-                    overlay, device=self.device, config=self.config,
-                    plan_cache=cache,
-                )
-                self.overlays.append(overlay)
-                self.plan_caches.append(cache)
-                self.engines.append(engine)
             if overlays is not None:
                 # Restored overlays may carry update state the base encodes
                 # predate; the live edge count is theirs, not the streams'.
-                self._num_edges = sum(o.num_edges for o in self.overlays)
-                self._final_live_bits = sum(o.live_bits for o in self.overlays)
-            if backend == "thread":
-                self._thread_pool = ThreadPoolExecutor(
-                    max_workers=max_workers or sharded.num_shards
+                self._num_edges = sum(o.num_edges for o in overlays)
+            else:
+                overlays = [
+                    DeltaOverlay(shard_cgr, policy=self.compaction_policy)
+                    for shard_cgr in sharded.shards
+                ]
+            self._states = [
+                _ShardState(
+                    overlay, self.device, self.config,
+                    DecodedAdjacencyCache(cache_capacity),
                 )
+                for overlay in overlays
+            ]
+        # The first per-shard call also forces worker start-up, so
+        # construction cost never leaks into superstep timings and worker
+        # init errors surface eagerly.
+        self._refresh_live_bits()
 
     # -- graph facts (FrontierEngine surface + registry needs) ----------------
 
@@ -568,30 +538,46 @@ class ShardExecutor:
         """Mutation epoch: effective update batches absorbed, any backend."""
         return self._epoch
 
+    @property
+    def has_local_overlays(self) -> bool:
+        """Whether the per-shard overlays live in this process.
+
+        Snapshot capture, restore (adopting overlays) and :meth:`rebase_shard`
+        need the overlays' bit-level state, so they require this; on the
+        ``process`` backend that state lives in the workers, out of reach.
+        """
+        return self.backend == "inline"
+
+    @property
+    def overlays(self) -> list[DeltaOverlay]:
+        """Per-shard delta overlays in shard order (empty unless
+        :attr:`has_local_overlays`)."""
+        return [state.overlay for state in self._states]
+
+    @property
+    def plan_caches(self) -> list[DecodedAdjacencyCache]:
+        """Per-shard decoded-plan caches in shard order (empty unless
+        :attr:`has_local_overlays`)."""
+        return [state.engine.plan_cache for state in self._states]
+
     def live_bits(self) -> int:
         """Live compressed bits across shards (base + overlay side streams).
 
-        After :meth:`close`, the process backend reports the last value
-        observed while its workers were alive (refreshed on every update
-        batch and at close), so monitoring paths like
+        After :meth:`close` this reports the last value observed while the
+        executor was open (refreshed at close), so monitoring paths like
         :meth:`~repro.service.TraversalService.stats` keep working.
         """
-        if self.backend == "process":
-            if not self._closed:
-                self._refresh_live_bits()
-            return self._final_live_bits
-        return sum(overlay.live_bits for overlay in self.overlays)
+        if not self._closed:
+            self._refresh_live_bits()
+        return self._final_live_bits
 
     def _refresh_live_bits(self) -> None:
-        """Re-read the process workers' aggregate live-bit count."""
-        futures = [
-            pool.submit(_process_worker_live_bits)
-            for pool in self._process_pools
-        ]
-        self._final_live_bits = sum(
-            self._resolve(shard, future)
-            for shard, future in enumerate(futures)
-        )
+        """Re-read the shards' aggregate live-bit count.
+
+        The last observed count stays reportable after :meth:`close`, when
+        the process backend's workers are gone.
+        """
+        self._final_live_bits = sum(self._on_all_shards(_shard_live_bits))
 
     @property
     def bits_per_edge(self) -> float:
@@ -607,7 +593,37 @@ class ShardExecutor:
             return float("nan")
         return UNCOMPRESSED_BITS_PER_EDGE / self.bits_per_edge
 
-    # -- worker-failure and cancellation plumbing ------------------------------
+    # -- per-shard calls, worker failure and cancellation ----------------------
+
+    def _on_shards(self, fn: Callable, args: dict[int, tuple]) -> dict:
+        """Run ``fn(shard_state, *args[shard])`` for every listed shard.
+
+        Returns the results keyed by shard, in ``args`` order.  Inline calls
+        run on the coordinator's shard states one after another; process
+        calls are all submitted to their shards' workers before any is
+        resolved, so the shards run concurrently.
+        """
+        if self.backend == "inline":
+            return {
+                shard: fn(self._states[shard], *shard_args)
+                for shard, shard_args in args.items()
+            }
+        futures = {
+            shard: self._process_pools[shard].submit(
+                _worker_call, fn, *shard_args
+            )
+            for shard, shard_args in args.items()
+        }
+        return {
+            shard: self._resolve(shard, future)
+            for shard, future in futures.items()
+        }
+
+    def _on_all_shards(self, fn: Callable, *args) -> list:
+        """Run ``fn(shard_state, *args)`` on every shard; results in shard
+        order."""
+        shards = range(self.num_shards)
+        return list(self._on_shards(fn, dict.fromkeys(shards, args)).values())
 
     def _resolve(self, shard: int, future):
         """Resolve one worker future, failing fast on a dead worker.
@@ -635,6 +651,62 @@ class ShardExecutor:
         if checkpoint is not None:
             checkpoint()
 
+    def _charge_superstep(
+        self,
+        span,
+        shard_metrics: dict[int, KernelMetrics | None],
+        **annotations,
+    ) -> None:
+        """Charge one superstep's per-shard kernel work.
+
+        Merges every shard's metrics (``None``: the shard ran no kernel)
+        into :attr:`kernel_metrics`, adds the slowest shard's device cost
+        to :attr:`critical_cost` -- the barrier waits for it -- and, when
+        ``span`` records, annotates it with the touched shards, per-shard
+        costs, the step's critical cost and ``annotations``.
+        """
+        shard_costs: dict[int, float] = {}
+        for shard, metrics in shard_metrics.items():
+            if metrics is not None:
+                self.kernel_metrics.merge(metrics)
+                shard_costs[shard] = self.device.cost(metrics)
+        critical = max(shard_costs.values(), default=0.0)
+        self.critical_cost += critical
+        if span.recording:
+            span.annotate(
+                shards=sorted(shard_metrics),
+                shard_costs=shard_costs,
+                critical_cost=critical,
+                **annotations,
+            )
+
+    def _merge_levels(self) -> np.ndarray:
+        """Merge the shards' traversal levels (node id on the last axis),
+        each shard authoritative for the nodes it owns."""
+        shard_levels = self._on_all_shards(_shard_levels)
+        merged = np.full_like(shard_levels[0], UNREACHED)
+        for shard, owned in enumerate(self.partition.shard_nodes):
+            merged[..., owned] = shard_levels[shard][..., owned]
+        return merged
+
+    def _scatter(self, nodes: list[int], /, **span_fields) -> dict:
+        """One expansion superstep: every owner shard expands its share of
+        ``nodes``; returns each shard's neighbour lists keyed by source."""
+        groups = self.partition.split_frontier(nodes)
+        self.supersteps += 1
+        for shard in groups:
+            self.shard_touches[shard] += 1
+        with self.tracer.span("superstep", **span_fields) as span:
+            results = self._on_shards(
+                _shard_expand,
+                {shard: (share,) for shard, share in groups.items()},
+            )
+            self._charge_superstep(
+                span,
+                {shard: metrics for shard, (_, metrics) in results.items()},
+            )
+        return {shard: collected for shard, (collected, _) in results.items()}
+
     # -- supersteps ------------------------------------------------------------
 
     def expand(self, frontier, filter_fn) -> list[int]:
@@ -652,74 +724,25 @@ class ShardExecutor:
         frontier = list(frontier)
         if not frontier:
             return []
-        groups = self.partition.split_frontier(frontier)
-        self.supersteps += 1
-        for shard in groups:
-            self.shard_touches[shard] += 1
-        with self.tracer.span(
-            "superstep", op="expand", frontier=len(frontier)
-        ) as span:
-            results = self._scatter(groups)
-            step_costs = []
-            shard_costs: dict[int, float] = {}
-            for shard, (collected, metrics) in results.items():
-                self.kernel_metrics.merge(metrics)
-                cost = self.device.cost(metrics)
-                step_costs.append(cost)
-                if span.recording:
-                    shard_costs[shard] = cost
-            if step_costs:
-                self.critical_cost += max(step_costs)
-            if span.recording:
-                span.annotate(
-                    shards=sorted(groups),
-                    shard_costs=shard_costs,
-                    critical_cost=max(step_costs) if step_costs else 0.0,
-                )
+        collected = self._scatter(
+            frontier, op="expand", frontier=len(frontier)
+        )
+        assignment = self.partition.assignment
+        next_frontier: list[int] = []
+        for node in frontier:
+            shard = int(assignment[node])
+            neighbors = collected[shard][node]
+            if not neighbors:
+                continue
+            self.exchange_volume += len(neighbors)
+            owners = assignment[np.asarray(neighbors, dtype=np.int64)]
+            self.boundary_messages += int((owners != shard).sum())
+            for neighbor in neighbors:
+                if filter_fn(node, neighbor):
+                    next_frontier.append(neighbor)
+        return next_frontier
 
-            assignment = self.partition.assignment
-            next_frontier: list[int] = []
-            for node in frontier:
-                shard = int(assignment[node])
-                neighbors = results[shard][0][node]
-                if not neighbors:
-                    continue
-                self.exchange_volume += len(neighbors)
-                owners = assignment[np.asarray(neighbors, dtype=np.int64)]
-                self.boundary_messages += int((owners != shard).sum())
-                for neighbor in neighbors:
-                    if filter_fn(node, neighbor):
-                        next_frontier.append(neighbor)
-            return next_frontier
-
-    def _scatter(self, groups: dict[int, list[int]]):
-        """Dispatch one expansion task per touched shard, backend-appropriately."""
-        if self.backend == "inline":
-            return {
-                shard: _expand_collect(self.engines[shard], nodes)
-                for shard, nodes in groups.items()
-            }
-        if self.backend == "thread":
-            assert self._thread_pool is not None
-            futures = {
-                shard: self._thread_pool.submit(
-                    _expand_collect, self.engines[shard], nodes
-                )
-                for shard, nodes in groups.items()
-            }
-        else:
-            futures = {
-                shard: self._process_pools[shard].submit(
-                    _process_worker_expand, nodes
-                )
-                for shard, nodes in groups.items()
-            }
-        return {
-            shard: self._resolve(shard, future)
-            for shard, future in futures.items()
-        }
-
-    # -- superstep-native BFS --------------------------------------------------
+    # -- superstep-native traversals -------------------------------------------
 
     def bfs(self, source: int) -> BFSResult:
         """Sharded BFS with shard-side admission and candidate exchange.
@@ -740,131 +763,17 @@ class ShardExecutor:
             raise IndexError(
                 f"source {source} out of range [0, {self.num_nodes})"
             )
-        assignment = self.partition.assignment
-        self._bfs_reset()
-        candidates: dict[int, np.ndarray] = {
-            int(assignment[source]): np.asarray([source], dtype=np.int64)
-        }
-        level = 0
-        iterations = 0
-        while candidates:
-            self._poll_checkpoint()
-            self.supersteps += 1
-            for shard, nodes in candidates.items():
-                self.shard_touches[shard] += 1
-                self.exchange_volume += len(nodes)
-            with self.tracer.span(
-                "superstep", op="bfs", level=level
-            ) as span:
-                results = self._bfs_dispatch(candidates, level)
-                total_admitted = 0
-                step_costs = [0.0]
-                shard_costs: dict[int, float] = {}
-                gathered: list[np.ndarray] = []
-                for shard, (targets, admitted, metrics) in results.items():
-                    total_admitted += admitted
-                    if metrics is not None:
-                        self.kernel_metrics.merge(metrics)
-                        cost = self.device.cost(metrics)
-                        step_costs.append(cost)
-                        if span.recording:
-                            shard_costs[shard] = cost
-                    if len(targets):
-                        gathered.append(targets)
-                        self.exchange_volume += len(targets)
-                        self.boundary_messages += int(
-                            (assignment[targets] != shard).sum()
-                        )
-                self.critical_cost += max(step_costs)
-                if span.recording:
-                    span.annotate(
-                        shards=sorted(candidates),
-                        shard_costs=shard_costs,
-                        critical_cost=max(step_costs),
-                        admitted=total_admitted,
-                    )
-            if total_admitted:
-                iterations += 1
-            candidates = {}
-            if gathered:
-                frontier = np.unique(np.concatenate(gathered))
-                owners = assignment[frontier]
-                for shard in np.unique(owners):
-                    candidates[int(shard)] = frontier[owners == shard]
-            level += 1
-        return BFSResult(
-            source=source, levels=self._bfs_collect_levels(), iterations=iterations
+        self._on_all_shards(_shard_bfs_reset)
+        iterations = self._exchange_supersteps(
+            _shard_bfs_step,
+            self._route(np.asarray([source], dtype=np.int64)),
+            op="bfs",
         )
-
-    def _bfs_reset(self) -> None:
-        """Clear per-shard BFS state before a fresh traversal."""
-        if self.backend == "process":
-            futures = [
-                pool.submit(_process_worker_bfs_reset)
-                for pool in self._process_pools
-            ]
-            for shard, future in enumerate(futures):
-                self._resolve(shard, future)
-        else:
-            self._bfs_levels = [
-                np.full(self.num_nodes, UNREACHED, dtype=np.int64)
-                for _ in range(self.num_shards)
-            ]
-
-    def _bfs_dispatch(
-        self, candidates: dict[int, np.ndarray], level: int
-    ) -> dict[int, tuple[np.ndarray, int, KernelMetrics | None]]:
-        """Run one BFS superstep on every shard with incoming candidates."""
-        if self.backend == "inline":
-            return {
-                shard: _bfs_step(
-                    self.engines[shard], self._bfs_levels[shard], nodes, level
-                )
-                for shard, nodes in candidates.items()
-            }
-        if self.backend == "thread":
-            assert self._thread_pool is not None
-            futures = {
-                shard: self._thread_pool.submit(
-                    _bfs_step,
-                    self.engines[shard],
-                    self._bfs_levels[shard],
-                    nodes,
-                    level,
-                )
-                for shard, nodes in candidates.items()
-            }
-        else:
-            futures = {
-                shard: self._process_pools[shard].submit(
-                    _process_worker_bfs_step, nodes, level
-                )
-                for shard, nodes in candidates.items()
-            }
-        return {
-            shard: self._resolve(shard, future)
-            for shard, future in futures.items()
-        }
-
-    def _bfs_collect_levels(self) -> np.ndarray:
-        """Merge per-shard level arrays, each authoritative for its owned nodes."""
-        levels = np.full(self.num_nodes, UNREACHED, dtype=np.int64)
-        if self.backend == "process":
-            futures = [
-                pool.submit(_process_worker_bfs_levels)
-                for pool in self._process_pools
-            ]
-            shard_levels = [
-                self._resolve(shard, future)
-                for shard, future in enumerate(futures)
-            ]
-        else:
-            shard_levels = self._bfs_levels
-        for shard, owned in enumerate(self.partition.shard_nodes):
-            levels[owned] = shard_levels[shard][owned]
-        return levels
-
-    # -- superstep-native multi-source BFS -------------------------------------
+        return BFSResult(
+            source=source,
+            levels=self._merge_levels(),
+            iterations=iterations,
+        )
 
     def msbfs(self, sources) -> MSBFSResult:
         """Sharded lane-packed MS-BFS: one candidate exchange serves 64 lanes.
@@ -891,8 +800,7 @@ class ShardExecutor:
                 "width; split the batch into sweeps"
             )
         lanes = len(batch)
-        assignment = self.partition.assignment
-        self._msbfs_reset(lanes)
+        self._on_all_shards(_shard_msbfs_reset, lanes)
 
         # Duplicate sources collapse to one candidate with an OR'd mask.
         source_masks: dict[int, int] = {}
@@ -904,74 +812,11 @@ class ShardExecutor:
         masks = np.asarray(
             [source_masks[int(node)] for node in nodes], dtype=np.uint64
         )
-        owners = assignment[nodes]
-        candidates: dict[int, tuple[np.ndarray, np.ndarray]] = {
-            int(shard): (nodes[owners == shard], masks[owners == shard])
-            for shard in np.unique(owners)
-        }
-
-        depth = 0
-        sweeps = 0
-        while candidates:
-            self._poll_checkpoint()
-            self.supersteps += 1
-            for shard, (shard_nodes, _) in candidates.items():
-                self.shard_touches[shard] += 1
-                self.exchange_volume += len(shard_nodes)
-            with self.tracer.span(
-                "superstep", op="msbfs", depth=depth, lanes=lanes
-            ) as span:
-                results = self._msbfs_dispatch(candidates, depth)
-                total_admitted = 0
-                step_costs = [0.0]
-                shard_costs: dict[int, float] = {}
-                gathered_nodes: list[np.ndarray] = []
-                gathered_masks: list[np.ndarray] = []
-                for shard, (targets, target_masks, admitted, metrics) in (
-                    results.items()
-                ):
-                    total_admitted += admitted
-                    if metrics is not None:
-                        self.kernel_metrics.merge(metrics)
-                        cost = self.device.cost(metrics)
-                        step_costs.append(cost)
-                        if span.recording:
-                            shard_costs[shard] = cost
-                    if len(targets):
-                        gathered_nodes.append(targets)
-                        gathered_masks.append(target_masks)
-                        self.exchange_volume += len(targets)
-                        self.boundary_messages += int(
-                            (assignment[targets] != shard).sum()
-                        )
-                self.critical_cost += max(step_costs)
-                if span.recording:
-                    span.annotate(
-                        shards=sorted(candidates),
-                        shard_costs=shard_costs,
-                        critical_cost=max(step_costs),
-                        admitted=total_admitted,
-                    )
-            if total_admitted:
-                sweeps += 1
-            candidates = {}
-            if gathered_nodes:
-                all_nodes = np.concatenate(gathered_nodes)
-                all_masks = np.concatenate(gathered_masks)
-                merged_nodes, inverse = np.unique(
-                    all_nodes, return_inverse=True
-                )
-                merged_masks = np.zeros(len(merged_nodes), dtype=np.uint64)
-                np.bitwise_or.at(merged_masks, inverse, all_masks)
-                owners = assignment[merged_nodes]
-                for shard in np.unique(owners):
-                    selected = owners == shard
-                    candidates[int(shard)] = (
-                        merged_nodes[selected], merged_masks[selected]
-                    )
-            depth += 1
-
-        lane_levels = self._msbfs_collect_levels(lanes)
+        sweeps = self._exchange_supersteps(
+            _shard_msbfs_step, self._route(nodes, masks),
+            op="msbfs", lanes=lanes,
+        )
+        lane_levels = self._merge_levels()
         return MSBFSResult(
             sources=batch,
             lane_levels=lane_levels,
@@ -979,88 +824,73 @@ class ShardExecutor:
             sweeps=sweeps,
         )
 
-    def _msbfs_reset(self, lanes: int) -> None:
-        """Clear per-shard MS-BFS state before a fresh lane-packed traversal."""
-        if self.backend == "process":
-            futures = [
-                pool.submit(_process_worker_msbfs_reset, lanes)
-                for pool in self._process_pools
-            ]
-            for shard, future in enumerate(futures):
-                self._resolve(shard, future)
-        else:
-            self._msbfs_seen = [
-                np.zeros(self.num_nodes, dtype=np.uint64)
-                for _ in range(self.num_shards)
-            ]
-            self._msbfs_levels = [
-                np.full((lanes, self.num_nodes), UNREACHED, dtype=np.int64)
-                for _ in range(self.num_shards)
-            ]
+    def _route(self, nodes: np.ndarray, *payload: np.ndarray) -> dict:
+        """Split ascending node ids, with the payload arrays aligned to them,
+        by owner shard: ``{shard: (nodes, *payload)}`` in shard order."""
+        owners = self.partition.assignment[nodes]
+        routed = {}
+        for shard in np.unique(owners):
+            selected = owners == shard
+            routed[int(shard)] = (
+                nodes[selected], *(array[selected] for array in payload)
+            )
+        return routed
 
-    def _msbfs_dispatch(
-        self,
-        candidates: dict[int, tuple[np.ndarray, np.ndarray]],
-        depth: int,
-    ) -> dict[int, tuple[np.ndarray, np.ndarray, int, KernelMetrics | None]]:
-        """Run one MS-BFS superstep on every shard with incoming candidates."""
-        if self.backend == "inline":
-            return {
-                shard: _msbfs_step(
-                    self.engines[shard],
-                    self._msbfs_seen[shard],
-                    self._msbfs_levels[shard],
-                    nodes,
-                    masks,
-                    depth,
-                )
-                for shard, (nodes, masks) in candidates.items()
-            }
-        if self.backend == "thread":
-            assert self._thread_pool is not None
-            futures = {
-                shard: self._thread_pool.submit(
-                    _msbfs_step,
-                    self.engines[shard],
-                    self._msbfs_seen[shard],
-                    self._msbfs_levels[shard],
-                    nodes,
-                    masks,
-                    depth,
-                )
-                for shard, (nodes, masks) in candidates.items()
-            }
-        else:
-            futures = {
-                shard: self._process_pools[shard].submit(
-                    _process_worker_msbfs_step, nodes, masks, depth
-                )
-                for shard, (nodes, masks) in candidates.items()
-            }
-        return {
-            shard: self._resolve(shard, future)
-            for shard, future in futures.items()
-        }
+    def _exchange_supersteps(
+        self, step: Callable, candidates: dict[int, tuple], **span_fields
+    ) -> int:
+        """Run candidate-exchange supersteps until no shard has candidates.
 
-    def _msbfs_collect_levels(self, lanes: int) -> np.ndarray:
-        """Merge per-shard lane-level matrices over their owned node columns."""
-        lane_levels = np.full(
-            (lanes, self.num_nodes), UNREACHED, dtype=np.int64
-        )
-        if self.backend == "process":
-            futures = [
-                pool.submit(_process_worker_msbfs_levels)
-                for pool in self._process_pools
-            ]
-            shard_levels = [
-                self._resolve(shard, future)
-                for shard, future in enumerate(futures)
-            ]
-        else:
-            shard_levels = self._msbfs_levels
-        for shard, owned in enumerate(self.partition.shard_nodes):
-            lane_levels[:, owned] = shard_levels[shard][:, owned]
-        return lane_levels
+        Superstep ``depth`` calls ``step(state, *candidates[shard], depth)``
+        on every shard with candidates (see :func:`_shard_bfs_step`).  A step
+        returns its exchange arrays (target ids first), its admitted count
+        and its kernel metrics; :func:`_merge_exchange` combines the shards'
+        exchange arrays and :meth:`_route` sends them to their owners for
+        the next superstep.  Each superstep opens a ``superstep`` span with
+        ``span_fields``.  Returns the number of supersteps that admitted any
+        node.
+        """
+        assignment = self.partition.assignment
+        depth = 0
+        admitting = 0
+        while candidates:
+            self._poll_checkpoint()
+            self.supersteps += 1
+            for shard, (nodes, *_) in candidates.items():
+                self.shard_touches[shard] += 1
+                self.exchange_volume += len(nodes)
+            with self.tracer.span(
+                "superstep", depth=depth, **span_fields
+            ) as span:
+                results = self._on_shards(
+                    step,
+                    {
+                        shard: (*arrays, depth)
+                        for shard, arrays in candidates.items()
+                    },
+                )
+                admitted = sum(result[-2] for result in results.values())
+                self._charge_superstep(
+                    span,
+                    {shard: result[-1] for shard, result in results.items()},
+                    admitted=admitted,
+                )
+                exchanged = []
+                for shard, result in results.items():
+                    targets = result[0]
+                    if len(targets):
+                        exchanged.append(result[:-2])
+                        self.exchange_volume += len(targets)
+                        self.boundary_messages += int(
+                            (assignment[targets] != shard).sum()
+                        )
+            if admitted:
+                admitting += 1
+            candidates = (
+                self._route(*_merge_exchange(exchanged)) if exchanged else {}
+            )
+            depth += 1
+        return admitting
 
     # -- work accounting -------------------------------------------------------
 
@@ -1132,22 +962,13 @@ class ShardExecutor:
             ).append(update)
 
         total = UpdateStats()
-        if self.backend == "process":
-            futures = {
-                shard: self._process_pools[shard].submit(
-                    _process_worker_apply, sub_batch
-                )
-                for shard, sub_batch in sub_batches.items()
-            }
-            for shard, future in futures.items():
-                total.merge(self._resolve(shard, future))
-            self._refresh_live_bits()
-        else:
-            for shard, sub_batch in sub_batches.items():
-                stats = self.overlays[shard].apply(sub_batch)
-                for node in stats.touched_nodes:
-                    self.plan_caches[shard].invalidate(node)
-                total.merge(stats)
+        results = self._on_shards(
+            _shard_apply,
+            {shard: (sub_batch,) for shard, sub_batch in sub_batches.items()},
+        )
+        for stats in results.values():
+            total.merge(stats)
+        self._refresh_live_bits()
         if total.changed:
             self._epoch += 1
         self._num_edges += total.inserted - total.deleted
@@ -1171,49 +992,47 @@ class ShardExecutor:
         plan-cache *object* is kept and cleared (resident plans drop as
         evictions), mirroring :meth:`GraphRegistry.replace`.
 
-        Only the ``inline`` and ``thread`` backends can rebase (process
-        workers' overlay state lives out of reach, exactly like snapshot).
-        Returns a summary dict: shard, new ``generation``, reclaimed
-        ``garbage_bits`` and the new overlay ``epoch``.
+        Requires :attr:`has_local_overlays` (process workers' overlay state
+        lives out of reach, exactly like snapshot).  Returns a summary dict:
+        shard, new ``generation``, reclaimed ``garbage_bits`` and the new
+        overlay ``epoch``.
         """
         if self._closed:
             raise RuntimeError("executor is closed")
-        if self.backend == "process":
+        if not self.has_local_overlays:
             raise RuntimeError(
                 "cannot rebase a process-backed sharded entry: per-shard "
                 "overlay state lives in worker processes; use the 'inline' "
-                "or 'thread' backend for lifecycle maintenance"
+                "backend for lifecycle maintenance"
             )
         if not 0 <= shard < self.num_shards:
             raise IndexError(
                 f"shard {shard} out of range [0, {self.num_shards})"
             )
-        old = self.overlays[shard]
-        reclaimed = old.garbage_bits
-        merged = [old.neighbors(node) for node in range(old.num_nodes)]
+        old = self._states[shard]
+        reclaimed = old.overlay.garbage_bits
+        merged = _shard_adjacency(old, range(old.overlay.num_nodes))
         cgr = CGRGraph.from_adjacency(
             merged, self.config.effective_cgr_config()
         )
         overlay = DeltaOverlay(cgr, policy=self.compaction_policy)
-        overlay.epoch = old.epoch + 1
-        overlay.updates_applied = old.updates_applied
-        overlay.updates_ignored = old.updates_ignored
-        overlay.compactions = old.compactions
-        cache = self.plan_caches[shard]
+        overlay.epoch = old.overlay.epoch + 1
+        overlay.updates_applied = old.overlay.updates_applied
+        overlay.updates_ignored = old.overlay.updates_ignored
+        overlay.compactions = old.overlay.compactions
+        cache = old.engine.plan_cache
         cache.clear()
-        engine = GCGTEngine(
-            overlay, device=self.device, config=self.config, plan_cache=cache
-        )
         self.sharded.shards[shard] = cgr
-        self.overlays[shard] = overlay
-        self.engines[shard] = engine
+        self._states[shard] = _ShardState(
+            overlay, self.device, self.config, cache
+        )
         self.base_generations[shard] += 1
         # The coordinator epoch names sharded snapshot delta files
         # (shard-<i>-epoch-<E>.delta); a rebase changes the bit-level state
         # those files capture, so the epoch must advance or a later snapshot
         # would rewrite an already-published epoch's delta with new content.
         self._epoch += 1
-        self._final_live_bits = sum(o.live_bits for o in self.overlays)
+        self._refresh_live_bits()
         return {
             "shard": shard,
             "generation": self.base_generations[shard],
@@ -1248,57 +1067,37 @@ class ShardExecutor:
                 raise IndexError(
                     f"node {node} out of range [0, {num_nodes})"
                 )
-        groups = self.partition.split_frontier(node_list)
-        self.supersteps += 1
-        for shard in groups:
-            self.shard_touches[shard] += 1
-        results = self._scatter(groups)
         merged: dict[int, list[int]] = {}
-        step_costs = []
-        for shard, (collected, metrics) in results.items():
-            self.kernel_metrics.merge(metrics)
-            step_costs.append(self.device.cost(metrics))
-            for node, neighbors in collected.items():
-                merged[node] = neighbors
-                self.exchange_volume += len(neighbors)
-        if step_costs:
-            self.critical_cost += max(step_costs)
+        scattered = self._scatter(node_list, op="gather", nodes=len(node_list))
+        for collected in scattered.values():
+            merged.update(collected)
+            self.exchange_volume += sum(map(len, collected.values()))
         return merged
 
     def adjacency(self) -> list[list[int]]:
         """Every node's merged live adjacency (updates applied), node order.
 
-        On the process backend this decodes through one scatter per node
-        block, so it is a test/checkpoint path, not a serving path.
+        Each shard reads its owned nodes from its overlay; on the process
+        backend that ships every list back from the workers, so it is a
+        test/checkpoint path, not a serving path.
         """
-        if self.backend == "process":
-            merged: list[list[int]] = [[] for _ in range(self.num_nodes)]
-            for shard, nodes in enumerate(self.partition.shard_nodes):
-                node_list = [int(n) for n in nodes]
-                if not node_list:
-                    continue
-                collected, _ = self._resolve(
-                    shard,
-                    self._process_pools[shard].submit(
-                        _process_worker_expand, node_list
-                    ),
-                )
-                for node in node_list:
-                    merged[node] = collected[node]
-            return merged
-        owner_of = self.partition.assignment
-        return [
-            self.overlays[int(owner_of[node])].neighbors(node)
-            for node in range(self.num_nodes)
-        ]
+        owned = {
+            shard: ([int(node) for node in nodes],)
+            for shard, nodes in enumerate(self.partition.shard_nodes)
+        }
+        merged: list[list[int]] = [[] for _ in range(self.num_nodes)]
+        for shard, lists in self._on_shards(_shard_adjacency, owned).items():
+            for node, neighbors in zip(owned[shard][0], lists):
+                merged[node] = neighbors
+        return merged
 
     # -- lifecycle -------------------------------------------------------------
 
     def close(self, timeout: float | None = None) -> None:
         """Shut worker pools down; the executor cannot expand afterwards.
 
-        Size/compression introspection stays available: the process backend
-        snapshots its workers' live-bit count before the pools go away.
+        Size/compression introspection stays available: the live-bit count
+        is refreshed one last time before the pools go away.
 
         ``timeout`` bounds the shutdown, in seconds shared across every
         worker: process workers still alive when their slice of the budget
@@ -1308,14 +1107,11 @@ class ShardExecutor:
         """
         if self._closed:
             return
-        if self.backend == "process":
-            try:
-                self._refresh_live_bits()
-            except Exception:  # pragma: no cover - already-broken pools
-                pass
+        try:
+            self._refresh_live_bits()
+        except (ShardWorkerError, BrokenProcessPool):
+            pass  # dead workers: keep the last observed count
         self._closed = True
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=True)
         if timeout is None:
             for pool in self._process_pools:
                 pool.shutdown(wait=True)

@@ -286,9 +286,10 @@ def write_snapshot(
     ``logical_epoch`` is the registry's effective-batch counter at capture
     time; a CDC follower resumes the change stream from it.
 
-    Sharded entries must run on the ``inline`` or ``thread`` backend: the
-    ``process`` backend's overlays live inside worker processes, where their
-    bit-level state cannot be captured.
+    Sharded entries must run on the ``inline`` backend: the ``process``
+    backend's overlays live inside worker processes, where their bit-level
+    state cannot be captured (see
+    :attr:`~repro.shard.executor.ShardExecutor.has_local_overlays`).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -310,11 +311,11 @@ def write_snapshot(
         if entry.is_sharded:
             executor = entry.executor
             assert executor is not None and entry.sharded is not None
-            if executor.backend == "process":
+            if not executor.has_local_overlays:
                 raise StoreError(
                     "cannot snapshot a process-backed sharded entry: per-shard "
                     "overlay state lives in worker processes; register with the "
-                    "'inline' or 'thread' backend to snapshot"
+                    "'inline' backend to snapshot"
                 )
             epoch = executor.epoch
             generations = list(executor.base_generations)
@@ -389,7 +390,6 @@ def restore_entry(
     device: GPUDevice,
     cache_capacity: int = 4096,
     compaction_policy: CompactionPolicy | None = None,
-    executor_backend: str = "inline",
     manifest: dict | None = None,
 ) -> RegisteredGraph:
     """Rebuild a :class:`~repro.service.registry.RegisteredGraph` from disk.
@@ -399,9 +399,8 @@ def restore_entry(
     older snapshot).  The base payloads are wrapped without re-encoding and
     every overlay's bit-level state is restored exactly, so queries on the
     restored entry -- including simulated costs -- match the snapshotted
-    service bit for bit.  Sharded restores accept only the ``inline`` and
-    ``thread`` backends (process workers cannot be seeded with overlay
-    state).
+    service bit for bit.  Sharded entries restore onto the ``inline``
+    backend (process workers cannot be seeded with overlay state).
 
     ``manifest`` lets a caller that already validated the manifest (the
     registry's pre-restore collision check) pass it through instead of
@@ -417,8 +416,7 @@ def restore_entry(
 
     if manifest["sharded"]:
         entry = _restore_sharded(
-            manifest, directory, config, device,
-            cache_capacity, policy, executor_backend,
+            manifest, directory, config, device, cache_capacity, policy
         )
     else:
         entry = _restore_unsharded(
@@ -426,8 +424,6 @@ def restore_entry(
         )
 
     if entry.num_nodes != manifest["num_nodes"] or entry.num_edges != manifest["num_edges"]:
-        if entry.executor is not None:
-            entry.executor.close()  # release worker pools before rejecting
         raise StoreFormatError(
             f"{manifest_path}: restored entry has {entry.num_nodes} nodes / "
             f"{entry.num_edges} edges, manifest declares "
@@ -475,7 +471,6 @@ def _restore_sharded(
     device: GPUDevice,
     cache_capacity: int,
     policy: CompactionPolicy,
-    executor_backend: str,
 ) -> RegisteredGraph:
     """Load every shard's base + delta and stand the superstep executor up."""
     # Imported here: repro.shard builds on the service cache module, so a
@@ -512,7 +507,6 @@ def _restore_sharded(
     )
     executor = ShardExecutor(
         sharded,
-        backend=executor_backend,
         device=device,
         config=config,
         cache_capacity=cache_capacity,

@@ -55,9 +55,7 @@ def _update_batches(graph, count=10, seed=11):
 
 def _register(service, graph, sharded):
     if sharded:
-        service.register_graph(
-            "g", graph, shards=3, executor_backend="thread"
-        )
+        service.register_graph("g", graph, shards=3)
     else:
         service.register_graph("g", graph)
 

@@ -535,6 +535,34 @@ class TestMaintenanceScheduler:
         replica.close()
         service.close()
 
+    def test_snapshot_step_skips_process_backed_entries(self, tmp_path):
+        """A process-backed sharded entry cannot be snapshotted; the tick
+        skips it, still snapshots every other entry and counts its folds."""
+        service = _service(
+            _graph(36), name="a", policy=CompactionPolicy.never(),
+            shards=2, executor_backend="process",
+        )
+        try:
+            service.register_graph("b", _graph(37))
+            scheduler = service.enable_maintenance(
+                MaintenanceConfig(snapshot_every=1), directory=tmp_path
+            )
+            folded = 0
+            for tick in range(3):
+                service.apply_updates(
+                    "b", [("insert", n, (n + 7 + tick) % 60) for n in range(4)]
+                )
+                report = scheduler.tick()
+                assert report.snapshotted == ["b"]
+                folded += report.compacted
+            assert folded > 0
+            assert scheduler.total_compactions == folded
+            assert scheduler.total_snapshots == 3
+            assert not (tmp_path / "a").exists()
+            assert (tmp_path / "b" / "manifest.json").exists()
+        finally:
+            service.close()
+
     def test_should_yield_aborts_tick(self):
         service = _service(_graph(34), policy=CompactionPolicy.never())
         service.apply_updates("g", [("insert", n, 1) for n in range(10)])

@@ -486,10 +486,7 @@ class TestDuplicateNameRejection:
         service = TraversalService()
         service.register_graph("web", three_graphs["web"])
         with pytest.raises(ValueError, match="different topology"):
-            service.register_graph(
-                "web", three_graphs["brain"], shards=2,
-                executor_backend="thread",
-            )
+            service.register_graph("web", three_graphs["brain"], shards=2)
         entry = service.registry.resolve("web")
         assert entry.executor is None
         service.close()

@@ -41,6 +41,7 @@ from repro.service import (
     TraversalService,
 )
 from repro.shard import (
+    BACKENDS,
     GraphPartition,
     GreedyEdgeCutPartitioner,
     HashPartitioner,
@@ -464,35 +465,39 @@ class TestExecutorMechanics:
         assert 1.0 <= executor.parallel_speedup <= executor.num_shards
         assert executor.critical_elapsed_proxy() <= executor.elapsed_proxy()
 
-    def test_thread_backend_matches_inline(self, family_graphs):
-        graph = family_graphs["uniform-dense"]
-        sharded = ShardedCGRGraph.from_graph(graph, 3)
-        reference = ShardExecutor(sharded).bfs(0)
-        with ShardExecutor(sharded, backend="thread") as executor:
-            result = executor.bfs(0)
-            np.testing.assert_array_equal(result.levels, reference.levels)
-            generic = bfs(executor, 0)
-            np.testing.assert_array_equal(generic.levels, reference.levels)
-
     def test_process_backend_matches_inline_and_absorbs_updates(
         self, family_graphs
     ):
+        """Both backends run the same per-shard functions, so answers, every
+        exchange counter, the critical path and the merged kernel metrics
+        agree after each kind of superstep and after an update batch."""
         graph = family_graphs["uniform-dense"]
-        sharded = ShardedCGRGraph.from_graph(graph, 2)
+        sharded = ShardedCGRGraph.from_graph(graph, 3)
         reference = ShardExecutor(sharded)
+        batch = [
+            EdgeUpdate.insert(0, 90),
+            EdgeUpdate.insert(41, 3),
+            EdgeUpdate.delete(0, graph.neighbors(0)[0]),
+        ]
+        operations = [
+            lambda executor: executor.bfs(0).levels,
+            lambda executor: executor.msbfs([0, 5, 17]).lane_levels,
+            lambda executor: connected_components(executor).labels,
+            lambda executor: executor.gather_adjacency([0, 1, 41, 80]),
+            lambda executor: executor.apply_updates(batch).inserted,
+            lambda executor: executor.bfs(0).levels,
+            lambda executor: executor.adjacency(),
+        ]
         with ShardExecutor(sharded, backend="process") as executor:
-            np.testing.assert_array_equal(
-                executor.bfs(0).levels, reference.bfs(0).levels
-            )
-            batch = [EdgeUpdate.insert(0, 90), EdgeUpdate.delete(0, graph.neighbors(0)[0])]
-            executor.apply_updates(batch)
-            reference.apply_updates(batch)
-            np.testing.assert_array_equal(
-                executor.bfs(0).levels, reference.bfs(0).levels
-            )
+            for operation in operations:
+                expected = operation(reference)
+                np.testing.assert_equal(operation(executor), expected)
+                assert executor.counters() == reference.counters()
+                assert executor.critical_cost == reference.critical_cost
+                assert executor.kernel_metrics == reference.kernel_metrics
+                assert executor.live_bits() == reference.live_bits()
             assert executor.num_edges == reference.num_edges
-            assert executor.live_bits() == reference.live_bits()
-            assert executor.epoch > 0
+            assert executor.epoch == reference.epoch > 0
 
     def test_closed_executor_refuses_work(self, family_graphs):
         executor = ShardExecutor(
@@ -515,6 +520,30 @@ class TestExecutorMechanics:
             executor.bfs(10_000)
         assert executor.expand([], lambda s, n: True) == []
         assert executor.counters().supersteps == 0
+
+    def test_backends_are_inline_and_process(self, family_graphs):
+        assert BACKENDS == ("inline", "process")
+        sharded = ShardedCGRGraph.from_graph(family_graphs["power-law"], 2)
+        with pytest.raises(ValueError, match="backend"):
+            ShardExecutor(sharded, backend="thread")
+        with pytest.raises(TypeError):
+            ShardExecutor(sharded, max_workers=2)
+
+    def test_process_backend_refuses_overlay_state_operations(
+        self, family_graphs
+    ):
+        """Overlay state is reachable only inline: the process backend
+        refuses adopting restored overlays and rebasing a shard."""
+        sharded = ShardedCGRGraph.from_graph(family_graphs["power-law"], 2)
+        inline = ShardExecutor(sharded)
+        assert inline.has_local_overlays
+        with pytest.raises(ValueError, match="inline"):
+            ShardExecutor(sharded, backend="process", overlays=inline.overlays)
+        with ShardExecutor(sharded, backend="process") as executor:
+            assert not executor.has_local_overlays
+            with pytest.raises(RuntimeError, match="process-backed"):
+                executor.rebase_shard(0)
+        assert inline.rebase_shard(0)["shard"] == 0
 
     def test_live_bits_grow_with_overlay_side_stream(self, family_graphs):
         graph = family_graphs["power-law"]
@@ -821,7 +850,7 @@ class TestExecutorRobustness:
         executor.close(timeout=10.0)
         executor.close(timeout=10.0)  # idempotent
 
-    @pytest.mark.parametrize("backend", ["inline", "thread"])
+    @pytest.mark.parametrize("backend", ["inline", "process"])
     def test_checkpoint_polled_between_supersteps(self, family_graphs, backend):
         """An installed checkpoint runs once per superstep and its exception
         aborts the traversal between supersteps, leaving counters consistent."""

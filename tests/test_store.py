@@ -634,12 +634,10 @@ class TestServiceSnapshotRestore:
 
 
 class TestShardedSnapshotRestore:
-    @pytest.mark.parametrize("backend", ["inline", "thread"])
-    def test_sharded_parity(self, skewed_graph, tmp_path, backend):
+    def test_sharded_parity(self, skewed_graph, tmp_path):
         service = TraversalService()
         service.register_graph(
-            "g", skewed_graph, shards=4, partitioner="greedy",
-            executor_backend=backend,
+            "g", skewed_graph, shards=4, partitioner="greedy"
         )
         service.apply_updates("g", [
             EdgeUpdate.insert(5, 77), EdgeUpdate.insert(7, 5),
@@ -650,9 +648,7 @@ class TestShardedSnapshotRestore:
         service.save_graph("g", tmp_path / "snap")
 
         restarted = TraversalService()
-        entry = restarted.load_graph(
-            tmp_path / "snap", executor_backend=backend
-        )
+        entry = restarted.load_graph(tmp_path / "snap")
         assert entry.is_sharded
         assert entry.shards == 4
         assert entry.epoch == live.epoch
