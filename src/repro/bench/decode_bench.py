@@ -18,10 +18,10 @@ path is timed as best-of-``repeats`` to suppress scheduler noise.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
+from repro.bench.harness import best_of
 from repro.compression.cgr import CGRConfig, CGRGraph
 from repro.compression.reference import NaiveCGRDecoder
 from repro.graph.datasets import load_dataset
@@ -74,17 +74,6 @@ class DecodeBenchResult:
         return row
 
 
-def _best_of(repeats: int, func: Callable[[], object]) -> tuple[float, object]:
-    """Best wall-clock of ``repeats`` runs (standard noise suppression)."""
-    best = float("inf")
-    value = None
-    for _ in range(repeats):
-        began = time.perf_counter()
-        value = func()
-        best = min(best, time.perf_counter() - began)
-    return best, value
-
-
 def measure_dataset(
     name: str,
     scale: int = DECODE_BENCH_SCALE,
@@ -101,8 +90,8 @@ def measure_dataset(
     cgr = CGRGraph.from_adjacency(graph.adjacency(), config)
     naive = NaiveCGRDecoder.from_graph(cgr)
 
-    packed_seconds, packed_out = _best_of(repeats, cgr.decode_all)
-    naive_seconds, naive_out = _best_of(repeats, naive.decode_all)
+    packed_seconds, packed_out = best_of(repeats, cgr.decode_all)
+    naive_seconds, naive_out = best_of(repeats, naive.decode_all)
     assert packed_out == naive_out, (
         f"packed and seed decoders disagree on dataset {name!r}"
     )

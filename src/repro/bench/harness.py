@@ -9,6 +9,7 @@ compression rate.  GPU out-of-memory conditions are caught and reported as
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -69,6 +70,18 @@ class ApproachResult:
         if self.extra:
             row.update(self.extra)
         return row
+
+
+def best_of(repeats: int, func: Callable[[], object]) -> tuple[float, object]:
+    """Best wall-clock seconds of ``repeats`` calls of ``func`` (standard
+    noise suppression), with the last call's return value."""
+    best = float("inf")
+    value = None
+    for _ in range(repeats):
+        began = time.perf_counter()
+        value = func()
+        best = min(best, time.perf_counter() - began)
+    return best, value
 
 
 @lru_cache(maxsize=64)

@@ -30,10 +30,11 @@ import tempfile
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro.bench.harness import best_of
 from repro.compression.cgr import CGRGraph
 from repro.graph.datasets import load_dataset
 from repro.lifecycle.cdc import FollowerReplica
@@ -81,17 +82,6 @@ class LifecycleBenchResult:
         row["encode_seconds"] = round(self.encode_seconds, 6)
         row["prime_seconds"] = round(self.prime_seconds, 6)
         return row
-
-
-def _best_of(repeats: int, func: Callable[[], object]) -> tuple[float, object]:
-    """Best wall-clock of ``repeats`` runs (standard noise suppression)."""
-    best = float("inf")
-    value = None
-    for _ in range(repeats):
-        began = time.perf_counter()
-        value = func()
-        best = min(best, time.perf_counter() - began)
-    return best, value
 
 
 def _update_batches(
@@ -142,7 +132,7 @@ def measure_dataset(
                 entry.overlay.neighbors(node)
                 for node in range(graph.num_nodes)
             ]
-            encode_seconds, cgr = _best_of(
+            encode_seconds, cgr = best_of(
                 repeats, lambda: CGRGraph.from_adjacency(adjacency)
             )
             assert isinstance(cgr, CGRGraph)

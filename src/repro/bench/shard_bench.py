@@ -10,7 +10,7 @@ twice --
   configuration;
 * **sharded** -- a :class:`~repro.shard.executor.ShardExecutor` over
   ``num_shards`` independently encoded shards running the superstep-native
-  BFS (shard-side admission, node-id frontier exchange),
+  BFS (shard-side admission, lane-mask frontier exchange),
 
 asserting levels and iteration counts bit-identical, then reporting the
 **modelled parallel speedup**: the unsharded run's simulated cost divided by

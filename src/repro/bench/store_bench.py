@@ -23,11 +23,11 @@ scheduler noise.
 from __future__ import annotations
 
 import tempfile
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
+from repro.bench.harness import best_of
 from repro.compression.cgr import CGRConfig, CGRGraph
 from repro.graph.datasets import load_dataset
 from repro.store.files import read_graph_file, write_graph_file
@@ -80,17 +80,6 @@ class StoreBenchResult:
         return row
 
 
-def _best_of(repeats: int, func: Callable[[], object]) -> tuple[float, object]:
-    """Best wall-clock of ``repeats`` runs (standard noise suppression)."""
-    best = float("inf")
-    value = None
-    for _ in range(repeats):
-        began = time.perf_counter()
-        value = func()
-        best = min(best, time.perf_counter() - began)
-    return best, value
-
-
 def measure_dataset(
     name: str,
     scale: int = STORE_BENCH_SCALE,
@@ -106,7 +95,7 @@ def measure_dataset(
     graph = load_dataset(name, scale)
     adjacency = graph.adjacency()
 
-    encode_seconds, cgr = _best_of(
+    encode_seconds, cgr = best_of(
         repeats, lambda: CGRGraph.from_adjacency(adjacency, config)
     )
     assert isinstance(cgr, CGRGraph)
@@ -115,7 +104,7 @@ def measure_dataset(
         path = Path(tmp) / f"{name}.cgr"
         write_graph_file(path, cgr)
         file_bytes = path.stat().st_size
-        load_seconds, loaded = _best_of(repeats, lambda: read_graph_file(path))
+        load_seconds, loaded = best_of(repeats, lambda: read_graph_file(path))
 
     assert isinstance(loaded, CGRGraph)
     assert loaded.config == cgr.config

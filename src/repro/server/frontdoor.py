@@ -306,6 +306,8 @@ class FrontDoor:
         self._maintenance = None
         #: Run counter of idle maintenance ticks (exported as a metric).
         self._maintenance_ticks = 0
+        #: Maintenance ticks that raised (exported as a metric).
+        self._maintenance_errors = 0
         # At most one dispatcher runs maintenance at a time; the others
         # keep polling the queue so foreground latency is unaffected.
         self._maintenance_mutex = threading.Lock()
@@ -356,6 +358,10 @@ class FrontDoor:
             "frontdoor_maintenance_ticks_total",
             "Maintenance ticks run by idle dispatchers.",
         ).set_function(lambda: self._maintenance_ticks)
+        metrics.counter(
+            "frontdoor_maintenance_errors_total",
+            "Maintenance ticks that raised and were contained.",
+        ).set_function(lambda: self._maintenance_errors)
         self._ema_gauge = metrics.gauge(
             "frontdoor_exec_ema_seconds",
             "EMA of fresh execution seconds per query kind -- the "
@@ -726,9 +732,10 @@ class FrontDoor:
     def _run_maintenance_tick(self) -> None:
         """One idle-time maintenance tick, single-flighted across dispatchers.
 
-        Maintenance errors are contained here (counted via the scheduler's
-        own telemetry spans): a failing snapshot directory must not take
-        the dispatcher thread -- and with it the whole front door -- down.
+        Maintenance errors are contained here and counted in
+        ``frontdoor_maintenance_errors_total`` (with telemetry enabled or
+        not): a failing snapshot directory must not take the dispatcher
+        thread -- and with it the whole front door -- down.
         """
         scheduler = self._maintenance
         if scheduler is None or self._closing:
@@ -739,7 +746,7 @@ class FrontDoor:
             self._maintenance_ticks += 1
             scheduler.tick(should_yield=self._maintenance_should_yield)
         except Exception:  # noqa: BLE001 - maintenance must not kill dispatch
-            pass
+            self._maintenance_errors += 1
         finally:
             self._maintenance_mutex.release()
 

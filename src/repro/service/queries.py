@@ -101,11 +101,14 @@ class QueryMetrics:
             the scatter-gather traffic of the sharded execution tier (0 for
             unsharded registrations).
         batch_lanes: how many queries shared the lane-packed MS-BFS sweep
-            that answered this one (1 for queries served individually).
-            Shared sweep work -- cost, cache deltas, exchange volume -- is
-            attributed by lane: floats divided evenly, integer counters
-            split so they sum back to the sweep's totals.
-        batch_lane: this query's lane within its sweep (0 when unbatched).
+            that answered this one.  Every BFS query is served by a sweep
+            (1 for a lone BFS); CC, BC and PageRank queries are unbatched
+            and report 1.  Shared sweep work -- cost, cache deltas,
+            exchange volume -- is attributed by lane: floats divided
+            evenly, integer counters split so they sum back to the sweep's
+            totals.
+        batch_lane: this query's lane within its sweep (0 for a lone BFS
+            and for unbatched CC/BC/PageRank queries).
     """
 
     cost: float

@@ -17,11 +17,10 @@ is what the differential and cache-behaviour test suites assert on.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from repro.apps.bc import betweenness_centrality
-from repro.apps.bfs import bfs
 from repro.apps.cc import connected_components
 from repro.apps.pagerank import personalized_pagerank
 from repro.dynamic.updates import UpdateStats
@@ -558,19 +557,20 @@ class TraversalService:
         anywhere in the batch fails the whole batch without moving any
         cache or metrics counters.
 
-        :class:`~repro.service.queries.BFSQuery` entries that resolve to
-        the **same registered entry** (same graph, same configuration) are
-        grouped, in submission order, through one lane-packed MS-BFS sweep
-        per :data:`~repro.traversal.msbfs.LANE_WIDTH` queries (see
-        :mod:`repro.traversal.msbfs`): each adjacency list the union
+        Every :class:`~repro.service.queries.BFSQuery` is served by a
+        lane-packed MS-BFS sweep (see :mod:`repro.traversal.msbfs`).  BFS
+        queries that resolve to the **same registered entry** (same graph,
+        same configuration) are grouped, in submission order, into one
+        sweep per :data:`~repro.traversal.msbfs.LANE_WIDTH` queries -- a
+        lone BFS is a sweep of one lane: each adjacency list the union
         frontier touches is decoded once for up to 64 searches, on both the
         single-engine and scatter-gather sharded paths, with the whole
         group pinned to one overlay epoch.  Results are bit-identical to
-        serving each query alone; per-query metrics attribute the shared
-        sweep by lane (see
-        :attr:`~repro.service.queries.QueryMetrics.batch_lanes`).  All
-        other queries run on their own traversal session over the shared
-        resident graph, exactly as before.
+        :func:`~repro.apps.bfs.bfs` per query; per-query metrics attribute
+        the shared sweep by lane (see
+        :attr:`~repro.service.queries.QueryMetrics.batch_lanes`).  CC, BC
+        and PageRank queries run on their own traversal session over the
+        shared resident graph.
 
         ``checkpoint``, when given, is a zero-argument callable polled
         **between queries** (and between the lane-packed sweeps of a wide
@@ -600,18 +600,14 @@ class TraversalService:
         """The body of :meth:`submit`, under the service lock."""
         entries = [self._admit(query) for query in queries]
 
-        # Same-entry BFS queries share lane-packed sweeps; everything else
-        # serves individually.  Results land at their submission index.
+        # BFS queries share lane-packed sweeps per entry (a lone one is a
+        # group of one); everything else serves individually.  Results land
+        # at their submission index.
         groups: dict[int, list[int]] = {}
         for index, (query, entry) in enumerate(zip(queries, entries)):
             if isinstance(query, BFSQuery):
                 groups.setdefault(id(entry), []).append(index)
-        grouped_indices = {
-            index: indices
-            for indices in groups.values()
-            if len(indices) > 1
-            for index in indices
-        }
+        group_of = {indices[0]: indices for indices in groups.values()}
 
         results: list[QueryResult | None] = [None] * len(queries)
         for index, (query, entry) in enumerate(zip(queries, entries)):
@@ -619,7 +615,7 @@ class TraversalService:
                 continue
             if checkpoint is not None:
                 checkpoint()
-            indices = grouped_indices.get(index)
+            indices = group_of.get(index)
             if indices is None:
                 results[index] = self._serve(query, entry, checkpoint)
             else:
@@ -650,6 +646,76 @@ class TraversalService:
                 f"source {source} out of range [0, {entry.num_nodes})"
             )
         return entry
+
+    def _run_metered(
+        self,
+        entry: RegisteredGraph,
+        run: Callable,
+        span,
+        checkpoint: Callable[[], None] | None,
+        encode_before: int,
+    ) -> tuple[object, QueryMetrics]:
+        """Run ``run(engine)`` inside ``span`` and meter what it cost.
+
+        ``engine`` is the entry's sharded executor (with ``checkpoint``
+        installed for the run, polled between supersteps) or a fresh
+        traversal session of its engine, so the simulated cost is this
+        run's alone.  Returns ``run``'s value and the run's totals as
+        :class:`QueryMetrics` (``iterations`` left 0 for the caller): cost
+        and elapsed proxy, the shard fan-out and exchange volume by
+        executor-counter delta, the entry's plan-cache deltas, encodes
+        since ``encode_before`` and the epoch the run read.
+        """
+        epoch = entry.epoch
+        cache_before = entry.cache_counters()
+        executor = entry.executor
+        if executor is None:
+            engine = entry.engine.new_session()
+            with span:
+                value = run(engine)
+            cost = engine.cost()
+            elapsed = self.device.elapsed_proxy(engine.metrics)
+            shard_fanout = 0
+            exchange_volume = 0
+        else:
+            shard_before = executor.counters()
+            executor.checkpoint = checkpoint
+            try:
+                with span:
+                    value = run(executor)
+            finally:
+                executor.checkpoint = None
+            shard_after = executor.counters()
+            cost = shard_after.cost - shard_before.cost
+            elapsed = shard_after.elapsed_proxy - shard_before.elapsed_proxy
+            shard_fanout = sum(
+                1
+                for before, after in zip(
+                    shard_before.shard_touches, shard_after.shard_touches
+                )
+                if after > before
+            )
+            exchange_volume = (
+                shard_after.exchange_volume - shard_before.exchange_volume
+            )
+        cache_after = entry.cache_counters()
+        return value, QueryMetrics(
+            cost=cost,
+            elapsed_proxy=elapsed,
+            iterations=0,
+            cache_hits=cache_after.hits - cache_before.hits,
+            cache_misses=cache_after.misses - cache_before.misses,
+            encode_calls=self.registry.encode_calls - encode_before,
+            cache_invalidations=(
+                cache_after.invalidations - cache_before.invalidations
+            ),
+            graph_epoch=epoch,
+            cache_miss_decode_ns=(
+                cache_after.miss_decode_ns - cache_before.miss_decode_ns
+            ),
+            shard_fanout=shard_fanout,
+            exchange_volume=exchange_volume,
+        )
 
     def _serve_bfs_group(
         self,
@@ -686,212 +752,113 @@ class TraversalService:
     ) -> list[QueryResult]:
         """One lane-packed sweep: run it, attribute shared work by lane.
 
-        The whole sweep reads one overlay epoch (``entry.epoch``, pinned
-        before the traversal) and one counter window.  Float costs divide
-        evenly across lanes; additive integer counters split via
-        :func:`_split_count` so per-query metrics sum back to the sweep's
-        totals; ``iterations`` is each lane's own sequential-equivalent
-        count; ``shard_fanout`` (non-additive) reports the sweep's fan-out
-        for every lane.
+        The whole sweep reads one overlay epoch and one counter window (see
+        :meth:`_run_metered`).  Float costs divide evenly across lanes;
+        additive integer counters split via :func:`_split_count` so
+        per-query metrics sum back to the sweep's totals; ``iterations`` is
+        each lane's own sequential-equivalent count; ``shard_fanout``
+        (non-additive) reports the sweep's fan-out for every lane.  A sweep
+        of one lane reports exactly the sweep's totals.
         """
         lanes = len(queries)
         sources = [query.source for query in queries]
-        encode_before = self.registry.encode_calls
-        cache_before = entry.cache_counters()
-        epoch = entry.epoch
         executor = entry.executor
         sweep_span = self.tracer.span(
-            "msbfs.sweep", graph=entry.name, lanes=lanes, epoch=epoch,
+            "msbfs.sweep", graph=entry.name, lanes=lanes, epoch=entry.epoch,
             sharded=executor is not None,
         )
-        if executor is not None:
-            shard_before = executor.counters()
-            executor.checkpoint = checkpoint
-            try:
-                with sweep_span:
-                    sweep = executor.msbfs(sources)
-            finally:
-                executor.checkpoint = None
-            shard_after = executor.counters()
-            cost = shard_after.cost - shard_before.cost
-            elapsed = shard_after.elapsed_proxy - shard_before.elapsed_proxy
-            shard_fanout = sum(
-                1
-                for before, after in zip(
-                    shard_before.shard_touches, shard_after.shard_touches
-                )
-                if after > before
-            )
-            exchange = (
-                shard_after.exchange_volume - shard_before.exchange_volume
-            )
-        else:
-            assert entry.engine is not None
-            session = entry.engine.new_session()
-            with sweep_span:
-                sweep = msbfs(session, sources)
-            cost = session.cost()
-            elapsed = self.device.elapsed_proxy(session.metrics)
-            shard_fanout = 0
-            exchange = 0
-        cache_after = entry.cache_counters()
 
-        hits = _split_count(cache_after.hits - cache_before.hits, lanes)
-        misses = _split_count(cache_after.misses - cache_before.misses, lanes)
-        invalidations = _split_count(
-            cache_after.invalidations - cache_before.invalidations, lanes
+        def run(engine):
+            if executor is None:
+                return msbfs(engine, sources)
+            return executor.msbfs(sources)
+
+        sweep, total = self._run_metered(
+            entry, run, sweep_span, checkpoint, self.registry.encode_calls
         )
-        miss_ns = _split_count(
-            cache_after.miss_decode_ns - cache_before.miss_decode_ns, lanes
-        )
-        encodes = _split_count(
-            self.registry.encode_calls - encode_before, lanes
-        )
-        exchange_split = _split_count(exchange, lanes)
         self.queries_served += lanes
         if sweep_span.recording:
             sweep_span.annotate(
-                cost=cost, sweeps=sweep.sweeps, exchange_volume=exchange,
+                cost=total.cost, sweeps=sweep.sweeps,
+                exchange_volume=total.exchange_volume,
             )
 
-        results: list[QueryResult] = []
-        for lane, query in enumerate(queries):
-            metrics = QueryMetrics(
-                cost=cost / lanes,
-                elapsed_proxy=elapsed / lanes,
-                iterations=sweep.lane_iterations[lane],
-                cache_hits=hits[lane],
-                cache_misses=misses[lane],
-                encode_calls=encodes[lane],
-                cache_invalidations=invalidations[lane],
-                graph_epoch=epoch,
-                cache_miss_decode_ns=miss_ns[lane],
-                shard_fanout=shard_fanout,
-                exchange_volume=exchange_split[lane],
-                batch_lanes=lanes,
-                batch_lane=lane,
+        shares = {
+            name: _split_count(getattr(total, name), lanes)
+            for name in (
+                "cache_hits", "cache_misses", "encode_calls",
+                "cache_invalidations", "cache_miss_decode_ns",
+                "exchange_volume",
             )
-            results.append(
-                QueryResult(
-                    query=query,
-                    kind="bfs",
-                    value=sweep.result_for(lane),
-                    metrics=metrics,
-                )
+        }
+        return [
+            QueryResult(
+                query=query,
+                kind="bfs",
+                value=sweep.result_for(lane),
+                metrics=replace(
+                    total,
+                    cost=total.cost / lanes,
+                    elapsed_proxy=total.elapsed_proxy / lanes,
+                    iterations=sweep.lane_iterations[lane],
+                    batch_lanes=lanes,
+                    batch_lane=lane,
+                    **{name: split[lane] for name, split in shares.items()},
+                ),
             )
-        return results
+            for lane, query in enumerate(queries)
+        ]
 
     def _serve(
         self,
         query: Query,
-        entry: RegisteredGraph | None = None,
+        entry: RegisteredGraph,
         checkpoint: Callable[[], None] | None = None,
     ) -> QueryResult:
-        if entry is None:
-            entry = self.registry.resolve(query.graph)
+        """Serve one CC, BC or PageRank query on its own frontier engine."""
         encode_before = self.registry.encode_calls
         if isinstance(query, CCQuery):
             entry = self.registry.undirected_variant(entry)
             self._instrument_entry(entry)
+            kind = "cc"
 
-        cache_before = entry.cache_counters()
-        executor = entry.executor
-        if executor is not None:
-            # Sharded entry: the scatter-gather executor is the frontier
-            # engine; cost and exchange counters are attributed by delta.
-            engine = executor
-            shard_before = executor.counters()
-            executor.checkpoint = checkpoint
+            def run(engine):
+                return connected_components(
+                    engine, max_iterations=query.max_iterations
+                )
+        elif isinstance(query, BCQuery):
+            kind = "bc"
+
+            def run(engine):
+                return betweenness_centrality(engine, query.source)
+        elif isinstance(query, PageRankQuery):
+            kind = "pagerank"
+
+            def run(engine):
+                return personalized_pagerank(
+                    engine,
+                    query.source,
+                    alpha=query.alpha,
+                    epsilon=query.epsilon,
+                    degrees=entry.graph.degrees(),
+                    max_iterations=query.max_iterations,
+                )
         else:
-            engine = entry.engine.new_session()
-            shard_before = None
+            raise TypeError(f"unsupported query type {type(query).__name__}")
 
         query_span = self.tracer.span(
             "query", graph=query.graph, kind=type(query).__name__,
-            sharded=executor is not None,
+            sharded=entry.executor is not None,
         )
-        try:
-            with query_span:
-                if isinstance(query, BFSQuery):
-                    if executor is not None:
-                        # Superstep-native sharded BFS: shard-side
-                        # admission, node-id frontier exchange;
-                        # bit-identical to bfs() on an engine.
-                        value = executor.bfs(query.source)
-                    else:
-                        value = bfs(engine, query.source)
-                    kind, iterations = "bfs", value.iterations
-                elif isinstance(query, CCQuery):
-                    kind, value = "cc", connected_components(
-                        engine, max_iterations=query.max_iterations
-                    )
-                    iterations = value.iterations
-                elif isinstance(query, BCQuery):
-                    kind, value = "bc", betweenness_centrality(
-                        engine, query.source
-                    )
-                    iterations = value.iterations
-                elif isinstance(query, PageRankQuery):
-                    kind, value = "pagerank", personalized_pagerank(
-                        engine,
-                        query.source,
-                        alpha=query.alpha,
-                        epsilon=query.epsilon,
-                        degrees=entry.graph.degrees(),
-                        max_iterations=query.max_iterations,
-                    )
-                    iterations = value.iterations
-                else:
-                    raise TypeError(
-                        f"unsupported query type {type(query).__name__}"
-                    )
-        finally:
-            if executor is not None:
-                executor.checkpoint = None
-
-        if shard_before is not None:
-            shard_after = executor.counters()
-            cost = shard_after.cost - shard_before.cost
-            elapsed = shard_after.elapsed_proxy - shard_before.elapsed_proxy
-            shard_fanout = sum(
-                1
-                for before, after in zip(
-                    shard_before.shard_touches, shard_after.shard_touches
-                )
-                if after > before
-            )
-            exchange_volume = (
-                shard_after.exchange_volume - shard_before.exchange_volume
-            )
-        else:
-            cost = engine.cost()
-            elapsed = self.device.elapsed_proxy(engine.metrics)
-            shard_fanout = 0
-            exchange_volume = 0
-
-        cache_after = entry.cache_counters()
+        value, total = self._run_metered(
+            entry, run, query_span, checkpoint, encode_before
+        )
+        metrics = replace(total, iterations=value.iterations)
         self.queries_served += 1
-        metrics = QueryMetrics(
-            cost=cost,
-            elapsed_proxy=elapsed,
-            iterations=iterations,
-            cache_hits=cache_after.hits - cache_before.hits,
-            cache_misses=cache_after.misses - cache_before.misses,
-            encode_calls=self.registry.encode_calls - encode_before,
-            cache_invalidations=(
-                cache_after.invalidations - cache_before.invalidations
-            ),
-            graph_epoch=entry.epoch,
-            cache_miss_decode_ns=(
-                cache_after.miss_decode_ns - cache_before.miss_decode_ns
-            ),
-            shard_fanout=shard_fanout,
-            exchange_volume=exchange_volume,
-        )
         if query_span.recording:
             query_span.annotate(
-                cost=cost, iterations=iterations, epoch=entry.epoch,
-                cache_misses=metrics.cache_misses,
+                cost=metrics.cost, iterations=metrics.iterations,
+                epoch=metrics.graph_epoch, cache_misses=metrics.cache_misses,
             )
         return QueryResult(query=query, kind=kind, value=value, metrics=metrics)
 

@@ -74,7 +74,6 @@ from repro.service.cache import DecodedAdjacencyCache
 from repro.shard.sharded import ShardedCGRGraph
 from repro.traversal.gcgt import GCGTConfig, GCGTEngine
 from repro.traversal.msbfs import (
-    LANE_WIDTH,
     MSBFSResult,
     lane_iterations_from_levels,
     validate_sources,
@@ -145,11 +144,13 @@ class _ShardState:
         self.engine = GCGTEngine(
             overlay, device=device, config=config, plan_cache=cache
         )
-        #: Levels of the in-progress/last traversal: one row per node for
-        #: BFS, a ``(lanes, nodes)`` matrix for MS-BFS.
+        #: ``(lanes, nodes)`` levels of the in-progress/last MS-BFS.
         self.levels: np.ndarray | None = None
         #: Per-node lane masks of the in-progress/last MS-BFS.
         self.seen: np.ndarray | None = None
+        #: Per-node slot scratch of one superstep, :data:`_FREE_SLOT`
+        #: between steps, so a step touches only its frontier and edges.
+        self.slots: np.ndarray | None = None
 
 
 def _shard_expand(
@@ -178,54 +179,15 @@ def _shard_expand(
     )
 
 
-def _shard_bfs_reset(state: _ShardState) -> None:
-    """Start a fresh BFS: clear the shard's per-node level array."""
-    state.levels = np.full(state.overlay.num_nodes, UNREACHED, dtype=np.int64)
-
-
-def _shard_bfs_step(
-    state: _ShardState, candidates: np.ndarray, level: int
-) -> tuple[np.ndarray, int, KernelMetrics | None]:
-    """One shard's BFS superstep: admit shard-side, expand, emit candidates.
-
-    ``candidates`` are globally deduplicated node ids owned by this shard
-    that some shard discovered last superstep.  Unvisited ones are admitted
-    at ``level`` and expanded through the shard engine; the returned array
-    holds the deduplicated neighbour ids to exchange, with targets this
-    shard already knows are visited filtered out locally (they are owned
-    here, so no other shard needs them).
-
-    Running the admission *inside* the shard is what makes sharded BFS
-    scale: the exchange carries at most one message per discovered node,
-    not one per decoded edge, and the coordinator never replays the filter.
-    Levels are distance-determined, so the result is bit-identical to the
-    frontier-order admission of the unsharded engine.
-    """
-    levels = state.levels
-    admitted = candidates[levels[candidates] == UNREACHED]
-    levels[admitted] = level
-    if len(admitted) == 0:
-        return np.empty(0, dtype=np.int64), 0, None
-
-    out: list[int] = []
-
-    def collect(source: int, neighbor: int) -> bool:
-        out.append(neighbor)
-        return False
-
-    session = state.engine.new_session()
-    session.expand([int(node) for node in admitted], collect)
-    targets = np.unique(np.asarray(out, dtype=np.int64))
-    # Owned-and-visited targets can be pruned here; remote targets are the
-    # owning shard's call next superstep.
-    targets = targets[levels[targets] == UNREACHED]
-    return targets, len(admitted), session.metrics
+#: A free entry of :attr:`_ShardState.slots` (above every edge position).
+_FREE_SLOT = np.iinfo(np.int64).max
 
 
 def _shard_msbfs_reset(state: _ShardState, lanes: int) -> None:
     """Start a fresh MS-BFS: clear the shard's lane masks and level matrix."""
     num_nodes = state.overlay.num_nodes
     state.seen = np.zeros(num_nodes, dtype=np.uint64)
+    state.slots = np.full(num_nodes, _FREE_SLOT, dtype=np.int64)
     state.levels = np.full((lanes, num_nodes), UNREACHED, dtype=np.int64)
 
 
@@ -234,18 +196,20 @@ def _shard_msbfs_step(
 ) -> tuple[np.ndarray, np.ndarray, int, KernelMetrics | None]:
     """One shard's MS-BFS superstep: admit lanes shard-side, expand, emit masks.
 
-    The lane-packed analogue of :func:`_shard_bfs_step`: ``nodes``/``masks``
-    are globally merged candidate ids owned by this shard with the uint64
-    lane masks that discovered them last superstep.  Lanes this shard has
-    not yet seen for a node are admitted at ``depth`` and recorded per lane;
-    admitted nodes are expanded **once** through the shard engine -- one
-    adjacency decode serves every packed search -- and each decoded
-    neighbour accumulates the union of its discoverers' admitted masks.
-    Locally-owned lanes already seen are pruned before the exchange, so a
-    message carries only lanes its target might still need.
+    ``nodes``/``masks`` are globally merged candidate ids owned by this
+    shard with the uint64 lane masks that discovered them last superstep.
+    Lanes this shard has not yet seen for a node are admitted at ``depth``
+    and recorded per lane; admitted nodes are expanded **once** through the
+    shard engine -- one adjacency decode serves every packed search -- and
+    each decoded neighbour accumulates the union of its discoverers'
+    admitted masks.  Locally-owned lanes already seen are pruned before the
+    exchange, so a message carries only lanes its target might still need.
 
-    Levels are distance-determined per lane, so the merged result is
-    bit-identical to 64 sequential ``bfs()`` runs, whatever the sharding.
+    Running the admission *inside* the shard is what makes sharded BFS
+    scale: the exchange carries at most one message per discovered node,
+    not one per decoded edge or lane, and the coordinator never replays the
+    filter.  Levels are distance-determined per lane, so the merged result
+    is bit-identical to sequential ``bfs()`` runs, whatever the sharding.
     """
     seen = state.seen
     lane_levels = state.levels
@@ -266,28 +230,37 @@ def _shard_msbfs_step(
         if len(hit):
             lane_levels[lane, hit] = depth
 
-    mask_of = {
-        int(node): int(mask)
-        for node, mask in zip(admitted, admitted_masks)
-    }
-    out: dict[int, int] = {}
+    # Record raw (source, neighbour) pairs -- the cheapest per-edge
+    # callback -- and OR the discoverers' masks per target afterwards, in
+    # bulk: the per-node slots map each source to its admitted mask and
+    # each target to its first edge position, and are freed again where
+    # touched, so the work scales with the frontier's edges, not the graph.
+    sources: list[int] = []
+    neighbors: list[int] = []
+    add_source = sources.append
+    add_neighbor = neighbors.append
 
     def collect(source: int, neighbor: int) -> bool:
-        out[neighbor] = out.get(neighbor, 0) | mask_of[source]
+        add_source(source)
+        add_neighbor(neighbor)
         return False
 
     session = state.engine.new_session()
-    session.expand([int(node) for node in admitted], collect)
-    targets = np.fromiter(out.keys(), dtype=np.int64, count=len(out))
-    target_masks = np.fromiter(
-        out.values(), dtype=np.uint64, count=len(out)
-    )
-    order = np.argsort(targets)
-    targets = targets[order]
-    target_masks = target_masks[order]
+    session.expand(admitted.tolist(), collect)
+    slots = state.slots
+    slots[admitted] = np.arange(len(admitted))
+    source_masks = admitted_masks[slots[np.asarray(sources, dtype=np.int64)]]
+    slots[admitted] = _FREE_SLOT
+    neighbor_ids = np.asarray(neighbors, dtype=np.int64)
+    np.minimum.at(slots, neighbor_ids, np.arange(len(neighbor_ids)))
+    reached = np.zeros(len(neighbor_ids), dtype=np.uint64)
+    np.bitwise_or.at(reached, slots[neighbor_ids], source_masks)
+    slots[neighbor_ids] = _FREE_SLOT
+    firsts = np.flatnonzero(reached)
+    targets = neighbor_ids[firsts]
     # Lanes this shard already levelled can be pruned here; remote targets
     # carry local zeros in ``seen``, so their masks pass through untouched.
-    target_masks = target_masks & ~seen[targets]
+    target_masks = reached[firsts] & ~seen[targets]
     keep = target_masks != 0
     return targets[keep], target_masks[keep], len(admitted), session.metrics
 
@@ -316,16 +289,20 @@ def _shard_adjacency(state: _ShardState, nodes) -> list[list[int]]:
     return [state.overlay.neighbors(node) for node in nodes]
 
 
-def _merge_exchange(exchanged: list[tuple]) -> list[np.ndarray]:
-    """Merge the shards' exchange arrays ``(targets, *payload)`` per target:
-    ascending unique targets, each payload (MS-BFS lane masks) OR-merged."""
-    targets, *payloads = (np.concatenate(column) for column in zip(*exchanged))
-    nodes, inverse = np.unique(targets, return_inverse=True)
-    merged = [nodes]
-    for payload in payloads:
-        merged.append(np.zeros(len(nodes), dtype=payload.dtype))
-        np.bitwise_or.at(merged[-1], inverse, payload)
-    return merged
+def _merge_exchange(
+    exchanged: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the shards' exchanged ``(targets, masks)`` per target:
+    ascending unique targets, each with its lane masks OR-merged."""
+    nodes, slot = np.unique(
+        np.concatenate([targets for targets, _ in exchanged]),
+        return_inverse=True,
+    )
+    merged = np.zeros(len(nodes), dtype=np.uint64)
+    np.bitwise_or.at(
+        merged, slot, np.concatenate([masks for _, masks in exchanged])
+    )
+    return nodes, merged
 
 
 #: The process backend's worker-resident shard state, built once by
@@ -681,12 +658,12 @@ class ShardExecutor:
             )
 
     def _merge_levels(self) -> np.ndarray:
-        """Merge the shards' traversal levels (node id on the last axis),
-        each shard authoritative for the nodes it owns."""
+        """Merge the shards' ``(lanes, nodes)`` MS-BFS levels, each shard
+        authoritative for the nodes it owns."""
         shard_levels = self._on_all_shards(_shard_levels)
         merged = np.full_like(shard_levels[0], UNREACHED)
         for shard, owned in enumerate(self.partition.shard_nodes):
-            merged[..., owned] = shard_levels[shard][..., owned]
+            merged[:, owned] = shard_levels[shard][:, owned]
         return merged
 
     def _scatter(self, nodes: list[int], /, **span_fields) -> dict:
@@ -745,48 +722,32 @@ class ShardExecutor:
     # -- superstep-native traversals -------------------------------------------
 
     def bfs(self, source: int) -> BFSResult:
-        """Sharded BFS with shard-side admission and candidate exchange.
+        """Sharded single-source BFS: a one-lane :meth:`msbfs` sweep.
 
-        Unlike the generic :meth:`expand` path (which ships every decoded
-        edge to the coordinator so arbitrary filters replay in canonical
-        order), BFS admission is distance-determined, so each shard admits
-        and levels its own nodes locally and the frontier exchange carries
-        only deduplicated *discovered node ids* -- the message volume is
-        bounded by nodes per level, not edges.  This is the path the
-        shard-throughput benchmark gates; levels, iterations and visited
-        counts are bit-identical to ``bfs(engine, source)`` on the
-        unsharded engine.
+        Levels, iterations and visited counts are bit-identical to
+        ``bfs(engine, source)`` on the unsharded engine.  This is the path
+        the shard-throughput benchmark gates.  Raises :class:`IndexError`
+        for an out-of-range source.
         """
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        if not 0 <= source < self.num_nodes:
-            raise IndexError(
-                f"source {source} out of range [0, {self.num_nodes})"
-            )
-        self._on_all_shards(_shard_bfs_reset)
-        iterations = self._exchange_supersteps(
-            _shard_bfs_step,
-            self._route(np.asarray([source], dtype=np.int64)),
-            op="bfs",
-        )
-        return BFSResult(
-            source=source,
-            levels=self._merge_levels(),
-            iterations=iterations,
-        )
+        return self.msbfs([source]).result_for(0)
 
     def msbfs(self, sources) -> MSBFSResult:
         """Sharded lane-packed MS-BFS: one candidate exchange serves 64 lanes.
 
         The superstep-native analogue of
-        :func:`repro.traversal.msbfs.msbfs`: each shard keeps a ``uint64``
+        :func:`repro.traversal.msbfs.msbfs`, and the only sharded BFS path
+        (:meth:`bfs` is its one-lane case).  Unlike the generic
+        :meth:`expand` path, which ships every decoded edge to the
+        coordinator so arbitrary filters replay in canonical order, BFS
+        admission is distance-determined: each shard keeps a ``uint64``
         lane mask per owned node, admits newly-gained lanes locally, and
         expands every admitted node **once per superstep** for all packed
         searches.  The frontier exchange carries ``(node id, lane mask)``
-        pairs -- still bounded by discovered nodes per level, not by lanes
-        times nodes, because messages for the same target are OR-merged at
-        the coordinator before routing.  Per-lane levels and iteration
-        counts are bit-identical to sequential :meth:`bfs` per source.
+        pairs -- bounded by discovered nodes per level, not by edges or by
+        lanes times nodes, because messages for the same target are
+        OR-merged at the coordinator before routing.  Per-lane levels and
+        iteration counts are bit-identical to ``bfs(engine, source)`` per
+        source on the unsharded engine.
 
         Raises :class:`ValueError` for an empty or over-wide batch and
         :class:`IndexError` for out-of-range sources.
@@ -794,11 +755,6 @@ class ShardExecutor:
         if self._closed:
             raise RuntimeError("executor is closed")
         batch = validate_sources(sources, self.num_nodes)
-        if len(batch) > LANE_WIDTH:
-            raise ValueError(
-                f"{len(batch)} sources exceed the {LANE_WIDTH}-lane word "
-                "width; split the batch into sweeps"
-            )
         lanes = len(batch)
         self._on_all_shards(_shard_msbfs_reset, lanes)
 
@@ -813,8 +769,7 @@ class ShardExecutor:
             [source_masks[int(node)] for node in nodes], dtype=np.uint64
         )
         sweeps = self._exchange_supersteps(
-            _shard_msbfs_step, self._route(nodes, masks),
-            op="msbfs", lanes=lanes,
+            self._route(nodes, masks), lanes=lanes
         )
         lane_levels = self._merge_levels()
         return MSBFSResult(
@@ -824,31 +779,27 @@ class ShardExecutor:
             sweeps=sweeps,
         )
 
-    def _route(self, nodes: np.ndarray, *payload: np.ndarray) -> dict:
-        """Split ascending node ids, with the payload arrays aligned to them,
-        by owner shard: ``{shard: (nodes, *payload)}`` in shard order."""
+    def _route(self, nodes: np.ndarray, masks: np.ndarray) -> dict:
+        """Split ascending node ids, with their lane masks, by owner shard:
+        ``{shard: (nodes, masks)}`` in shard order."""
         owners = self.partition.assignment[nodes]
         routed = {}
         for shard in np.unique(owners):
             selected = owners == shard
-            routed[int(shard)] = (
-                nodes[selected], *(array[selected] for array in payload)
-            )
+            routed[int(shard)] = (nodes[selected], masks[selected])
         return routed
 
-    def _exchange_supersteps(
-        self, step: Callable, candidates: dict[int, tuple], **span_fields
-    ) -> int:
-        """Run candidate-exchange supersteps until no shard has candidates.
+    def _exchange_supersteps(self, candidates: dict, lanes: int) -> int:
+        """Run MS-BFS candidate-exchange supersteps until no shard has
+        candidates.
 
-        Superstep ``depth`` calls ``step(state, *candidates[shard], depth)``
-        on every shard with candidates (see :func:`_shard_bfs_step`).  A step
-        returns its exchange arrays (target ids first), its admitted count
-        and its kernel metrics; :func:`_merge_exchange` combines the shards'
-        exchange arrays and :meth:`_route` sends them to their owners for
-        the next superstep.  Each superstep opens a ``superstep`` span with
-        ``span_fields``.  Returns the number of supersteps that admitted any
-        node.
+        Superstep ``depth`` runs :func:`_shard_msbfs_step` on every shard
+        with candidates.  Each step returns its exchanged ``(targets,
+        masks)``, its admitted count and its kernel metrics;
+        :func:`_merge_exchange` combines the shards' exchanges and
+        :meth:`_route` sends them to their owners for the next superstep.
+        Each superstep opens a ``superstep`` span.  Returns the number of
+        supersteps that admitted any node.
         """
         assignment = self.partition.assignment
         depth = 0
@@ -856,30 +807,29 @@ class ShardExecutor:
         while candidates:
             self._poll_checkpoint()
             self.supersteps += 1
-            for shard, (nodes, *_) in candidates.items():
+            for shard, (nodes, _) in candidates.items():
                 self.shard_touches[shard] += 1
                 self.exchange_volume += len(nodes)
             with self.tracer.span(
-                "superstep", depth=depth, **span_fields
+                "superstep", depth=depth, op="msbfs", lanes=lanes
             ) as span:
                 results = self._on_shards(
-                    step,
+                    _shard_msbfs_step,
                     {
-                        shard: (*arrays, depth)
-                        for shard, arrays in candidates.items()
+                        shard: (nodes, masks, depth)
+                        for shard, (nodes, masks) in candidates.items()
                     },
                 )
-                admitted = sum(result[-2] for result in results.values())
+                admitted = sum(result[2] for result in results.values())
                 self._charge_superstep(
                     span,
-                    {shard: result[-1] for shard, result in results.items()},
+                    {shard: result[3] for shard, result in results.items()},
                     admitted=admitted,
                 )
                 exchanged = []
-                for shard, result in results.items():
-                    targets = result[0]
+                for shard, (targets, masks, _, _) in results.items():
                     if len(targets):
-                        exchanged.append(result[:-2])
+                        exchanged.append((targets, masks))
                         self.exchange_volume += len(targets)
                         self.boundary_messages += int(
                             (assignment[targets] != shard).sum()
@@ -887,7 +837,8 @@ class ShardExecutor:
             if admitted:
                 admitting += 1
             candidates = (
-                self._route(*_merge_exchange(exchanged)) if exchanged else {}
+                self._route(*_merge_exchange(exchanged))
+                if exchanged else {}
             )
             depth += 1
         return admitting

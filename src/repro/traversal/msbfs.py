@@ -111,12 +111,13 @@ def lane_iterations_from_levels(levels: np.ndarray) -> tuple[int, ...]:
 
 
 def validate_sources(sources: Sequence[int], num_nodes: int) -> tuple[int, ...]:
-    """Range-check a source batch; returns it as a tuple of plain ints.
+    """Check a source batch for one sweep; returns it as a tuple of plain ints.
 
-    Raises :class:`ValueError` for an empty batch and :class:`IndexError`
-    for any out-of-range source (matching :func:`~repro.apps.bfs.bfs`, which
-    refuses bad sources before touching any traversal state).  Duplicates
-    are fine -- each occupies its own lane.
+    Raises :class:`IndexError` for any out-of-range source (matching
+    :func:`~repro.apps.bfs.bfs`, which refuses bad sources before touching
+    any traversal state) and :class:`ValueError` for an empty batch or one
+    wider than :data:`LANE_WIDTH`.  Duplicates are fine -- each occupies
+    its own lane.
     """
     batch = tuple(int(source) for source in sources)
     if not batch:
@@ -126,6 +127,11 @@ def validate_sources(sources: Sequence[int], num_nodes: int) -> tuple[int, ...]:
             raise IndexError(
                 f"source {source} out of range [0, {num_nodes})"
             )
+    if len(batch) > LANE_WIDTH:
+        raise ValueError(
+            f"{len(batch)} sources exceed the {LANE_WIDTH}-lane word width; "
+            "split the batch into sweeps"
+        )
     return batch
 
 
@@ -134,12 +140,15 @@ def msbfs(engine: FrontierEngine, sources: Sequence[int]) -> MSBFSResult:
 
     ``engine`` is any frontier engine -- a resident
     :class:`~repro.traversal.gcgt.GCGTEngine`, a per-query
-    :class:`~repro.traversal.gcgt.TraversalSession` (the service path, so
-    the sweep's simulated cost accumulates per batch), or a
+    :class:`~repro.traversal.gcgt.TraversalSession` (the service path for
+    every unsharded BFS query, a lone one included, so the sweep's
+    simulated cost accumulates per sweep), or a
     :class:`~repro.shard.executor.ShardExecutor` through its generic
     canonical-order ``expand`` (the executor's own
     :meth:`~repro.shard.executor.ShardExecutor.msbfs` is the
-    superstep-native path and exchanges lane masks instead).
+    superstep-native path and exchanges lane masks instead).  With one
+    source the sweep is the paper's single-source BFS: levels, iterations
+    and simulated cost equal :func:`~repro.apps.bfs.bfs` from that source.
 
     Each adjacency list the union frontier touches is decoded **once per
     sweep** for all packed searches; the per-pair filter work is pure word
@@ -148,11 +157,6 @@ def msbfs(engine: FrontierEngine, sources: Sequence[int]) -> MSBFSResult:
     """
     num_nodes = engine.num_nodes
     batch = validate_sources(sources, num_nodes)
-    if len(batch) > LANE_WIDTH:
-        raise ValueError(
-            f"{len(batch)} sources exceed the {LANE_WIDTH}-lane word width; "
-            "split the batch into sweeps"
-        )
     lanes = len(batch)
 
     # Per-node lane masks as plain Python ints: the filter below runs once

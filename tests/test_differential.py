@@ -137,6 +137,33 @@ def test_service_batch_matches_naive_on_every_rung(
         )
 
 
+@pytest.mark.parametrize("rung", list(STRATEGY_LADDER))
+def test_lone_service_bfs_matches_engine_session_on_every_rung(
+    rung, family_graphs
+):
+    """A lone BFS through the service (a one-lane sweep) is the paper's BFS.
+
+    Levels and iterations equal ``bfs()`` on a fresh session of the same
+    entry's engine, and so do the modelled cost and elapsed proxy: serving
+    a BFS alone adds no simulated work.
+    """
+    service = TraversalService(config=STRATEGY_LADDER[rung])
+    for family, graph in family_graphs.items():
+        entry = service.register_graph(family, graph)
+        for source in SOURCES:
+            (served,) = service.submit([BFSQuery(family, source)])
+            session = entry.engine.new_session()
+            expected = bfs(session, source)
+            np.testing.assert_array_equal(served.value.levels, expected.levels)
+            assert served.value.iterations == expected.iterations
+            assert served.metrics.iterations == expected.iterations
+            assert served.metrics.cost == session.cost()
+            assert served.metrics.elapsed_proxy == (
+                service.device.elapsed_proxy(session.metrics)
+            )
+            assert served.metrics.batch_lanes == 1
+
+
 def test_service_default_config_is_full_gcgt(family_graphs, references):
     """The default serving configuration is the paper's full GCGT."""
     service = TraversalService()

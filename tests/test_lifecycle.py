@@ -624,6 +624,27 @@ class TestFrontDoorMaintenance:
             assert response.ok
         service.close()
 
+    def test_failing_tick_is_counted_and_contained(self):
+        class FailingScheduler:
+            def tick(self, should_yield=None):
+                raise OSError("snapshot directory unwritable")
+
+        service = _service(_graph(43))  # telemetry disabled
+        with FrontDoor(service) as door:
+            door.register_tenant("t")
+            door.attach_maintenance(FailingScheduler())
+            errors = service.telemetry.metrics.get(
+                "frontdoor_maintenance_errors_total"
+            )
+            deadline = time.monotonic() + 5.0
+            while errors.value() == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert errors.value() >= 1
+            # the dispatcher survived the failing ticks
+            response = door.call("t", BFSQuery(graph="g", source=0))
+            assert response.ok
+        service.close()
+
     def test_detach_stops_ticking(self):
         service = _service(_graph(42))
         scheduler = service.enable_maintenance(MaintenanceConfig())
