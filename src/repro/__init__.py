@@ -44,7 +44,7 @@ it depends on, in pure Python:
   approximate mode;
 * :mod:`repro.obs` -- unified telemetry for the serving stack: per-request
   span-tree tracing with head-based sampling, a typed metrics registry
-  (counters/gauges/histograms) the existing stats surfaces register into,
+  (counters/gauges) the existing stats surfaces register into,
   Prometheus/JSON exporters and a ring-buffered slow-query log -- bundled
   as :class:`Telemetry` and threaded front door -> service -> shard
   executors -> caches -> views;

@@ -10,7 +10,7 @@ its own disjoint counters.  :mod:`repro.obs` gives them one spine:
   decode-cache misses and view repairs; head-based sampling and a no-op
   path keep the disabled cost negligible.
 * :class:`MetricsRegistry` with typed :class:`Counter` /
-  :class:`Gauge` / :class:`Histogram` instruments -- the legacy stats
+  :class:`Gauge` instruments -- the legacy stats
   objects register callback-backed instruments into it, so registry
   values and ``ServiceStats`` / ``ServerStats`` read the same sources.
 * Exporters -- :func:`prometheus_text`, :func:`json_snapshot`, and a
@@ -26,14 +26,7 @@ additive.
 """
 
 from .export import json_snapshot, prometheus_text
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    Instrument,
-    MetricsRegistry,
-)
+from .metrics import Counter, Gauge, Instrument, MetricsRegistry
 from .slowlog import SlowQueryLog
 from .telemetry import Telemetry
 from .trace import (
@@ -46,13 +39,11 @@ from .trace import (
 )
 
 __all__ = [
-    "DEFAULT_BUCKETS",
     "MAX_SPAN_EVENTS",
     "NOOP_TRACER",
     "NULL_SPAN",
     "Counter",
     "Gauge",
-    "Histogram",
     "Instrument",
     "MetricsRegistry",
     "NoopTracer",

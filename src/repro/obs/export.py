@@ -3,8 +3,7 @@
 Rendering is separated from collection so one registry can serve both a
 scrape endpoint and an offline dump: :func:`prometheus_text` emits the
 Prometheus 0.0.4 text exposition format (``# HELP`` / ``# TYPE`` lines,
-escaped label values, cumulative ``_bucket{le=...}`` series for
-histograms), while :func:`json_snapshot` bundles the same samples with
+escaped label values), while :func:`json_snapshot` bundles the same samples with
 retained traces and the slow-query log into one JSON-ready document --
 the payload behind ``scripts/dump_telemetry.py``.
 """
@@ -31,24 +30,20 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _label_block(labels: dict[str, str], extra: str = "") -> str:
+def _label_block(labels: dict[str, str]) -> str:
     parts = [
         f'{name}="{_escape_label_value(str(value))}"'
         for name, value in labels.items()
     ]
-    if extra:
-        parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
 def prometheus_text(registry) -> str:
     """Render a registry in the Prometheus text exposition format.
 
-    Counters and gauges emit one sample line per labelset; histograms
-    emit cumulative ``_bucket`` series (with the implicit ``+Inf``
-    bucket) plus ``_sum`` and ``_count``.  Output order follows
-    ``registry.collect()`` -- sorted by metric name, then label values --
-    so scrapes are deterministic and diffable.
+    Counters and gauges emit one sample line per labelset.  Output order
+    follows ``registry.collect()`` -- sorted by metric name, then label
+    values -- so scrapes are deterministic and diffable.
     """
     lines: list[str] = []
     for family in registry.collect():
@@ -57,22 +52,8 @@ def prometheus_text(registry) -> str:
             lines.append(f"# HELP {name} {family['help']}")
         lines.append(f"# TYPE {name} {kind}")
         for sample in family["samples"]:
-            labels = sample["labels"]
-            if kind == "histogram":
-                for bound, count in sample["buckets"]:
-                    le = bound if bound == "+Inf" else _format_value(bound)
-                    block = _label_block(labels, f'le="{le}"')
-                    lines.append(f"{name}_bucket{block} {count}")
-                block = _label_block(labels)
-                lines.append(
-                    f"{name}_sum{block} {_format_value(sample['sum'])}"
-                )
-                lines.append(f"{name}_count{block} {sample['count']}")
-            else:
-                block = _label_block(labels)
-                lines.append(
-                    f"{name}{block} {_format_value(sample['value'])}"
-                )
+            block = _label_block(sample["labels"])
+            lines.append(f"{name}{block} {_format_value(sample['value'])}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -4,14 +4,14 @@ Every layer of the serving stack keeps counters -- ``ServiceStats``,
 ``ServerStats``, per-tenant SLA reservoirs, view stats -- but each rolls
 its own snapshot dataclass and none is machine-readable.  This module
 gives them one vocabulary: a :class:`MetricsRegistry` of named, typed
-instruments (:class:`Counter`, :class:`Gauge`, :class:`Histogram`) with
+instruments (:class:`Counter`, :class:`Gauge`) with
 Prometheus-style label sets, which the exporters in
 :mod:`repro.obs.export` render as a text scrape or a JSON snapshot.
 
 Two registration styles are supported:
 
-* **Direct** -- hot paths call ``counter.inc()`` / ``histogram.observe()``
-  themselves (the front door's request-latency histogram works this way).
+* **Direct** -- hot paths call ``counter.inc()`` / ``gauge.set()``
+  themselves (the front door's execution-EMA gauge works this way).
 * **Callback-backed** -- :meth:`Counter.set_function` /
   :meth:`Gauge.set_function` bind a labelset to a zero-argument callable
   that is evaluated at *collection* time.  This is how the legacy stats
@@ -29,20 +29,12 @@ components can safely share one registry.
 
 from __future__ import annotations
 
-import bisect
 import re
 import threading
 from typing import Any, Callable, Iterable
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-#: Default histogram bucket upper bounds, in seconds -- spans the
-#: sub-millisecond decode path up to multi-second overloaded requests.
-DEFAULT_BUCKETS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
 
 
 def _validate_name(name: str) -> str:
@@ -187,87 +179,10 @@ class Gauge(Instrument):
         return float(current()) if callable(current) else float(current)
 
 
-class Histogram(Instrument):
-    """A cumulative-bucket distribution (Prometheus ``histogram`` type).
-
-    Each labelset keeps per-bucket counts plus a running sum and count;
-    :meth:`samples` renders cumulative bucket counts with their ``le``
-    upper bounds plus the implicit ``+Inf`` bucket, ready for the
-    text-format exporter.
-    """
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        label_names: tuple[str, ...],
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(name, help, label_names)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError(f"{name}: histogram needs at least one bucket")
-        self.buckets = bounds
-
-    def observe(self, value: float, **labels: Any) -> None:
-        """Record one observation into the labelset's distribution."""
-        key = self._key(labels)
-        index = bisect.bisect_left(self.buckets, value)
-        with self._lock:
-            state = self._slots.get(key)
-            if state is None:
-                state = self._slots[key] = [
-                    [0] * len(self.buckets), 0.0, 0,
-                ]
-            counts, _, _ = state
-            if index < len(counts):
-                counts[index] += 1
-            state[1] += value
-            state[2] += 1
-
-    def count(self, **labels: Any) -> int:
-        """Observations recorded for the labelset."""
-        key = self._key(labels)
-        with self._lock:
-            state = self._slots.get(key)
-            return 0 if state is None else int(state[2])
-
-    def sum(self, **labels: Any) -> float:
-        """Sum of observations recorded for the labelset."""
-        key = self._key(labels)
-        with self._lock:
-            state = self._slots.get(key)
-            return 0.0 if state is None else float(state[1])
-
-    def samples(self) -> list[dict[str, Any]]:
-        """Per-labelset distributions with cumulative bucket counts."""
-        with self._lock:
-            slots = [
-                (key, [list(state[0]), state[1], state[2]])
-                for key, state in self._slots.items()
-            ]
-        rendered = []
-        for key, (counts, total, n) in sorted(slots):
-            cumulative, running = [], 0
-            for bound, count in zip(self.buckets, counts):
-                running += count
-                cumulative.append((bound, running))
-            cumulative.append(("+Inf", n))
-            rendered.append({
-                "labels": self._labelled(key),
-                "count": n,
-                "sum": total,
-                "buckets": cumulative,
-            })
-        return rendered
-
-
 class MetricsRegistry:
     """The named collection of instruments one process exports.
 
-    ``counter`` / ``gauge`` / ``histogram`` are get-or-create: asking for
+    ``counter`` / ``gauge`` are get-or-create: asking for
     an existing name with the same type and label names returns the
     existing instrument (so the service and the front door can both bind
     into a shared registry idempotently); a type or label mismatch raises.
@@ -277,7 +192,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._instruments: dict[str, Instrument] = {}
 
-    def _register(self, cls, name, help, label_names, **extra) -> Instrument:
+    def _register(self, cls, name, help, label_names) -> Instrument:
         label_names = _validate_labels(label_names)
         with self._lock:
             existing = self._instruments.get(name)
@@ -293,7 +208,7 @@ class MetricsRegistry:
                         f"(asked for {cls.__name__}{label_names})"
                     )
                 return existing
-            instrument = cls(name, help, label_names, **extra)
+            instrument = cls(name, help, label_names)
             self._instruments[name] = instrument
             return instrument
 
@@ -308,18 +223,6 @@ class MetricsRegistry:
     ) -> Gauge:
         """Get or create a :class:`Gauge`."""
         return self._register(Gauge, name, help, tuple(labels))
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: Iterable[str] = (),
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        """Get or create a :class:`Histogram`."""
-        return self._register(
-            Histogram, name, help, tuple(labels), buckets=buckets
-        )
 
     def get(self, name: str) -> Instrument | None:
         """The instrument registered under ``name``, or ``None``."""
@@ -363,10 +266,8 @@ class MetricsRegistry:
 
 
 __all__ = [
-    "DEFAULT_BUCKETS",
     "Counter",
     "Gauge",
-    "Histogram",
     "Instrument",
     "MetricsRegistry",
 ]

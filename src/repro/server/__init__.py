@@ -24,7 +24,7 @@ The one entry point is :class:`~repro.server.FrontDoor`::
     response = ticket.response()
 
 Every outcome -- answered fresh, answered stale, rate-limited, shed,
-deadline-missed, cancelled, failed -- arrives as one structured
+deadline-missed, cancelled, failed, refused at shutdown -- arrives as one structured
 :class:`~repro.server.ServerResponse` with a retryability flag, so
 clients implement exactly one backoff loop.
 """
@@ -44,7 +44,6 @@ from repro.server.errors import (
 from repro.server.frontdoor import FrontDoor, ServerStats, Ticket
 from repro.server.sla import (
     LatencyReservoir,
-    ReservoirSnapshot,
     TenantCounters,
     TenantSLA,
     snapshot_sla,
@@ -70,7 +69,6 @@ __all__ = [
     "LatencyReservoir",
     "Overloaded",
     "Rejected",
-    "ReservoirSnapshot",
     "ServerError",
     "ServerResponse",
     "ServerStats",

@@ -9,9 +9,10 @@ strings:
   staleness budget, flagged ``degraded``).
 * **rejected** (:class:`Rejected` / :class:`Overloaded`) -- admission
   refused the request *before* any execution work: unknown tenant,
-  exhausted quota, a drained token bucket, or full admission queues (the
+  exhausted quota, a drained token bucket, full admission queues (the
   load-shedding case, which carries queue depth and a ``retry_after``
-  hint).  Shedding early is the front door's survival strategy: a bounded
+  hint), or a front door shutting down (at submission, or draining its
+  queue).  Shedding early is the front door's survival strategy: a bounded
   queue plus cheap rejection keeps latency of admitted work flat while
   excess offered load bounces.
 * **deadline_exceeded** (:class:`DeadlineExceeded`) -- the request's
@@ -160,14 +161,16 @@ class ServerResponse:
             fresh work would have missed the deadline.
         staleness: logical update epochs the degraded answer lags the live
             graph (0 for fresh answers).
-        queue_seconds: time the request spent in the admission queue.
-        total_seconds: submit-to-terminal latency (what the SLA reservoirs
-            record for completed requests).
+        queue_seconds: time the request spent in the admission queue (0.0
+            when admission refused it).
+        total_seconds: submit-to-terminal latency.  The tenant's SLA
+            reservoir records it once per answered (``"ok"``, fresh or
+            degraded) request and for no other outcome.
         request_id: the front door's sequence number for audit correlation.
         trace_id: the request's trace id (see :mod:`repro.obs`): the key
             that retrieves the request's span tree from the tracer and its
-            lifecycle events from the audit log.  Empty when the response
-            predates admission-time trace minting (e.g. unknown tenant).
+            lifecycle events from the audit log.  The front door mints one
+            at submission for every request, refused ones included.
     """
 
     status: str

@@ -19,9 +19,10 @@ hostile load.  Every request passes four stages:
    :meth:`~repro.service.TraversalService.submit` with a cooperative
    cancellation checkpoint, so an expired or cancelled request stops
    consuming decode/exchange budget at the next superstep boundary.
-4. **Completion**: the terminal outcome lands in the request's
-   :class:`Ticket`, the tenant's SLA ledger and latency reservoir, and the
-   audit log.
+4. **Completion**: every outcome -- answer, refusal, miss, cancellation,
+   failure -- takes one terminal path (``FrontDoor._finish``), which writes
+   the tenant's ledger, the latency reservoir (answers only), the audit log
+   and the trace exactly once each, then completes the :class:`Ticket`.
 
 All time is read from one injectable monotonic clock, so deadline and
 rate-limit behaviour is deterministic under test.
@@ -34,13 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.service.queries import (
-    BFSQuery,
-    CCQuery,
-    PageRankQuery,
-    Query,
-    QueryResult,
-)
+from repro.service.queries import BFSQuery, CCQuery, PageRankQuery, Query
 from repro.obs.telemetry import Telemetry
 from repro.service.service import ServiceStats, TraversalService
 from repro.traversal.msbfs import LANE_WIDTH
@@ -58,23 +53,46 @@ from repro.server.errors import (
     ServerError,
     ServerResponse,
 )
-from repro.server.sla import TenantSLA, snapshot_sla
+from repro.server.sla import OUTCOMES, TenantSLA, snapshot_sla
 from repro.server.tenants import TenantConfig, TenantRegistry, TenantState
 
 
+#: Ledger field counting each :attr:`Rejected.reason` (an unknown tenant
+#: has no ledger; the front door counts those refusals itself).
+_REFUSAL_OUTCOMES = {
+    "unknown_tenant": None,
+    "rate_limited": "rate_limited",
+    "quota_exhausted": "quota_rejected",
+    "queue_full": "shed",
+    "shutdown": "shutdown",
+}
+
+#: (response status, audit event, ledger field) of the other errors.
+_ERROR_OUTCOMES = {
+    DeadlineExceeded: ("deadline_exceeded", "deadline_miss", "deadline_misses"),
+    Cancelled: ("cancelled", "cancelled", "cancelled"),
+    Failed: ("failed", "failed", "failed"),
+}
+
+
 class _Request:
-    """One in-flight request's internal state (never leaves the front door)."""
+    """One in-flight request's internal state (never leaves the front door).
+
+    ``state`` is ``None`` only for a submission naming no registered
+    tenant, which is refused before it could be admitted.
+    """
 
     __slots__ = (
-        "request_id", "tenant", "query", "deadline", "token", "priority",
-        "coalesce_key", "ticket", "submitted_at", "admitted_at", "started_at",
-        "trace_id", "root_span", "queue_span",
+        "request_id", "tenant", "state", "query", "deadline", "token",
+        "priority", "coalesce_key", "ticket", "submitted_at", "admitted_at",
+        "started_at", "trace_id", "root_span", "queue_span",
     )
 
     def __init__(
         self,
         request_id: int,
-        tenant: TenantState,
+        tenant: str,
+        state: TenantState | None,
         query: Query,
         deadline: Deadline,
         priority: int,
@@ -83,6 +101,7 @@ class _Request:
     ) -> None:
         self.request_id = request_id
         self.tenant = tenant
+        self.state = state
         self.query = query
         self.deadline = deadline
         self.token = CancelToken()
@@ -96,11 +115,13 @@ class _Request:
         #: dispatcher picks the request up (or at any earlier terminal).
         self.queue_span = None
         self.ticket = Ticket(
-            tenant.name, request_id, self.token, trace_id=self.trace_id
+            tenant, request_id, self.token, trace_id=self.trace_id
         )
         self.submitted_at = submitted_at
-        self.admitted_at = submitted_at
-        self.started_at = submitted_at
+        #: When the request entered the queue and when a dispatcher took
+        #: it out to run; ``None`` until (unless) that happens.
+        self.admitted_at: float | None = None
+        self.started_at: float | None = None
 
 
 class Ticket:
@@ -123,8 +144,8 @@ class Ticket:
         self.tenant = tenant
         self.request_id = request_id
         #: The request's trace id (see :mod:`repro.obs`): joins this
-        #: ticket to its span tree and audit events.  Empty when the
-        #: request was refused before a trace was minted.
+        #: ticket to its span tree and audit events; minted at submission
+        #: for every request, refused ones included.
         self.trace_id = trace_id
         self._token = token
         self._done = threading.Event()
@@ -186,13 +207,22 @@ class ServerStats:
     Attributes:
         tenants: per-tenant :class:`~repro.server.sla.TenantSLA`, keyed by
             name.
-        submitted / admitted: offered vs queued requests, all tenants.
+        submitted / admitted: offered requests, and those that ever entered
+            the queue (monotone: evicted and drained requests stay counted),
+            all tenants.
         completed / degraded: fresh vs stale-view answers delivered.
         shed: requests rejected (or evicted) because the bounded queue was
             full -- the load-shedding counter.
         rate_limited / quota_rejected: token-bucket and quota refusals.
-        unknown_tenant_rejects: submissions naming no registered tenant.
-        deadline_misses / cancelled / failed: the remaining terminal states.
+        unknown_tenant_rejects: submissions naming no registered tenant
+            (not part of ``submitted``, which counts registered tenants).
+        deadline_misses / cancelled / failed / shutdown: the remaining
+            terminal states; ``shutdown`` counts refusals at submission
+            after :meth:`FrontDoor.close` and requests it drained from the
+            queue.  Every submitted request ends in exactly one of
+            ``completed``, ``degraded``, ``shed``, ``rate_limited``,
+            ``quota_rejected``, ``deadline_misses``, ``cancelled``,
+            ``failed`` and ``shutdown``.
         coalesced_groups / coalesced_requests: dispatch groups that packed
             more than one same-graph BFS request, and the requests they
             carried -- the queue-level MS-BFS coalescing at work.
@@ -214,6 +244,7 @@ class ServerStats:
     deadline_misses: int = 0
     cancelled: int = 0
     failed: int = 0
+    shutdown: int = 0
     coalesced_groups: int = 0
     coalesced_requests: int = 0
     queue_depth: int = 0
@@ -299,6 +330,8 @@ class FrontDoor:
         #: Exponential moving average of fresh execution seconds per query
         #: kind -- the miss predictor behind degraded serving.
         self._exec_ema: dict[str, float] = {}
+        #: Guards the request sequence, the closing flag, admission and
+        #: every ledger write (the ledger must conserve requests).
         self._lock = threading.Lock()
         self._closing = False
         #: The attached maintenance scheduler (None until
@@ -368,11 +401,6 @@ class FrontDoor:
             "degradation predictor.",
             labels=("kind",),
         )
-        self._latency_hist = metrics.histogram(
-            "frontdoor_request_seconds",
-            "End-to-end latency of answered (fresh or degraded) requests.",
-            labels=("tenant",),
-        )
 
     def _bind_tenant_metrics(self, state: TenantState) -> None:
         """Bind one tenant's ledger, bucket and reservoir into the registry.
@@ -390,11 +418,7 @@ class FrontDoor:
             "Per-tenant request outcomes (live SLA-ledger reads).",
             labels=("tenant", "outcome"),
         )
-        for outcome in (
-            "submitted", "admitted", "completed", "degraded", "shed",
-            "rate_limited", "quota_rejected", "deadline_misses",
-            "cancelled", "failed",
-        ):
+        for outcome in OUTCOMES:
             outcomes.set_function(
                 (lambda name: lambda: getattr(counters, name))(outcome),
                 tenant=state.name, outcome=outcome,
@@ -424,24 +448,6 @@ class FrontDoor:
             "Answered-request latency observations ever recorded.",
             labels=("tenant",),
         ).set_function(lambda: reservoir.count, tenant=state.name)
-
-    def _close_trace(self, request: _Request, status: str, **attrs) -> None:
-        """Finish a request's span tree with its terminal outcome.
-
-        Called from every terminal path -- fresh, degraded, shed, missed,
-        cancelled, failed, shutdown-drained -- so an admitted request's
-        trace is always complete: any still-open queue-wait span is
-        closed, a ``response`` child records the outcome, and finishing
-        the root stores the tree in the tracer (retrievable by
-        ``trace_id``).
-        """
-        queue_span = request.queue_span
-        if queue_span is not None and not queue_span.ended:
-            queue_span.finish()
-        root = request.root_span
-        root.child("response", status=status, **attrs).finish()
-        root.annotate(status=status)
-        root.finish(status)
 
     # -- tenant management -----------------------------------------------------
 
@@ -501,27 +507,20 @@ class FrontDoor:
         )
         state = self.tenants.get(tenant)
         if state is None:
-            self._unknown_tenant_rejects += 1
-            self.audit.record(
-                "rejected", tenant, request_id,
-                trace_id=root.trace_id, reason="unknown_tenant",
+            unknown = _Request(
+                request_id, tenant, None, query, Deadline(None),
+                priority=0, submitted_at=now, root_span=root,
             )
-            return self._rejected_ticket(
-                tenant, request_id,
-                Rejected(
-                    f"tenant {tenant!r} is not registered",
-                    reason="unknown_tenant",
-                ),
-                now,
-                root=root,
-            )
+            return self._finish(unknown, Rejected(
+                f"tenant {tenant!r} is not registered",
+                reason="unknown_tenant",
+            ))
         try:
             self._validate_query(query)
         except Exception as error:
             root.annotate(error=type(error).__name__)
             root.finish("invalid")
             raise
-        state.counters.submitted += 1
         self.audit.record(
             "submitted", tenant, request_id,
             trace_id=root.trace_id, kind=type(query).__name__,
@@ -534,7 +533,8 @@ class FrontDoor:
             budget = self.default_deadline
         request = _Request(
             request_id=request_id,
-            tenant=state,
+            tenant=tenant,
+            state=state,
             query=query,
             deadline=Deadline.after(budget, self.clock),
             priority=(
@@ -545,13 +545,15 @@ class FrontDoor:
         )
 
         admission_span = root.child("admission", priority=request.priority)
+        rejection: Rejected | None = None
+        evicted: _Request | None = None
         with self._lock:
+            state.counters.submitted += 1
             if self._closing:
-                rejection: Rejected = Rejected(
+                rejection = Rejected(
                     "front door is shutting down", reason="shutdown"
                 )
             elif not state.bucket.try_acquire():
-                state.counters.rate_limited += 1
                 rejection = Rejected(
                     f"tenant {tenant!r} exceeded its "
                     f"{state.config.rate}/s rate",
@@ -559,26 +561,16 @@ class FrontDoor:
                     retry_after=state.bucket.retry_after(),
                 )
             elif not state.charge_quota():
-                state.counters.quota_rejected += 1
                 rejection = Rejected(
                     f"tenant {tenant!r} exhausted its quota of "
                     f"{state.config.quota} requests",
                     reason="quota_exhausted",
                 )
             else:
+                request.admitted_at = now
                 admitted, evicted = self.admission.offer(request)
-                if not admitted:
-                    state.counters.shed += 1
-                    rejection = Overloaded(
-                        f"admission queue full "
-                        f"({self.admission.capacity} waiting)",
-                        queue_depth=self.admission.capacity,
-                        queue_capacity=self.admission.capacity,
-                        retry_after=self._drain_estimate(),
-                    )
-                else:
+                if admitted:
                     state.counters.admitted += 1
-                    request.admitted_at = now
                     admission_span.annotate(
                         outcome="admitted",
                         queue_depth=self.admission.depth(),
@@ -591,18 +583,27 @@ class FrontDoor:
                         queue_depth=self.admission.depth(),
                         priority=request.priority,
                     )
-                    if evicted is not None:
-                        self._shed_evicted(evicted)
-                    return request.ticket
-        admission_span.annotate(outcome=rejection.reason)
-        admission_span.finish()
-        self.audit.record(
-            "rejected", tenant, request_id,
-            trace_id=root.trace_id, reason=rejection.reason,
-        )
-        return self._rejected_ticket(
-            tenant, request_id, rejection, now, root=root
-        )
+                else:
+                    request.admitted_at = None
+                    rejection = Overloaded(
+                        f"admission queue full "
+                        f"({self.admission.capacity} waiting)",
+                        queue_depth=self.admission.capacity,
+                        queue_capacity=self.admission.capacity,
+                        retry_after=self._drain_estimate(),
+                    )
+        if rejection is not None:
+            admission_span.annotate(outcome=rejection.reason)
+            admission_span.finish()
+            return self._finish(request, rejection)
+        if evicted is not None:
+            self._finish(evicted, Overloaded(
+                "evicted from the admission queue by higher-priority work",
+                queue_depth=self.admission.depth(),
+                queue_capacity=self.admission.capacity,
+                retry_after=self._drain_estimate(),
+            ), evicted_by_priority=True)
+        return request.ticket
 
     def call(
         self,
@@ -635,72 +636,6 @@ class FrontDoor:
             raise IndexError(
                 f"source {source} out of range [0, {entry.num_nodes})"
             )
-
-    def _rejected_ticket(
-        self,
-        tenant: str,
-        request_id: int,
-        error: Rejected,
-        submitted_at: float,
-        root=None,
-    ) -> Ticket:
-        """An already-completed ticket carrying an admission rejection.
-
-        When the rejection happened after trace minting, ``root`` closes
-        here with the refusal reason so even rejected submissions leave a
-        retrievable (if tiny) trace.
-        """
-        trace_id = "" if root is None else root.trace_id
-        if root is not None:
-            root.child(
-                "response", status="rejected", reason=error.reason
-            ).finish()
-            root.annotate(status="rejected", reason=error.reason)
-            root.finish("rejected")
-        ticket = Ticket(tenant, request_id, CancelToken(), trace_id=trace_id)
-        ticket._complete(
-            ServerResponse(
-                status="rejected",
-                tenant=tenant,
-                error=error,
-                retryable=error.retryable,
-                retry_after=error.retry_after,
-                total_seconds=self.clock() - submitted_at,
-                request_id=request_id,
-                trace_id=trace_id,
-            )
-        )
-        return ticket
-
-    def _shed_evicted(self, request: _Request) -> None:
-        """Complete a queue-evicted request as shed (priority displacement)."""
-        request.tenant.counters.shed += 1
-        request.tenant.counters.admitted -= 1
-        self.audit.record(
-            "rejected", request.tenant.name, request.request_id,
-            trace_id=request.trace_id,
-            reason="queue_full", evicted_by_priority=True,
-        )
-        self._close_trace(request, "rejected", reason="queue_full")
-        request.ticket._complete(
-            ServerResponse(
-                status="rejected",
-                tenant=request.tenant.name,
-                error=Overloaded(
-                    "evicted from the admission queue by "
-                    "higher-priority work",
-                    queue_depth=self.admission.depth(),
-                    queue_capacity=self.admission.capacity,
-                    retry_after=self._drain_estimate(),
-                ),
-                retryable=True,
-                retry_after=self._drain_estimate(),
-                queue_seconds=self.clock() - request.admitted_at,
-                total_seconds=self.clock() - request.submitted_at,
-                request_id=request.request_id,
-                trace_id=request.trace_id,
-            )
-        )
 
     def _drain_estimate(self) -> float | None:
         """Seconds until the queue likely has room, from the execution EMA."""
@@ -775,13 +710,11 @@ class FrontDoor:
             self._coalesced_requests += len(group)
         live: list[_Request] = []
         for request in group:
-            if request.token.cancelled:
-                self._finish_cancelled(request)
-            elif request.deadline.expired:
-                self._finish_missed(request, where="queued")
-            elif self._predicts_miss(request) and self._try_degrade(request):
-                pass
-            else:
+            dead = self._dead(request)
+            if dead is not None:
+                self._finish(request, dead, where="queued")
+            elif not (self._predicts_miss(request)
+                      and self._try_degrade(request)):
                 live.append(request)
         if not live:
             return
@@ -793,7 +726,7 @@ class FrontDoor:
             if queue_span is not None and not queue_span.ended:
                 queue_span.finish()
             self.audit.record(
-                "started", request.tenant.name, request.request_id,
+                "started", request.tenant, request.request_id,
                 trace_id=request.trace_id,
                 queue_seconds=now - request.admitted_at,
                 group=len(group),
@@ -813,7 +746,7 @@ class FrontDoor:
             for lane, request in enumerate(live):
                 exec_span.child(
                     "lane", lane=lane, trace=request.trace_id,
-                    tenant=request.tenant.name,
+                    tenant=request.tenant,
                 ).finish()
                 if request is not leader:
                     link_spans.append(request.root_span.child(
@@ -827,28 +760,44 @@ class FrontDoor:
                     [request.query for request in live],
                     checkpoint=checkpoint,
                 )
-        except (DeadlineExceeded, Cancelled):
+        except (DeadlineExceeded, Cancelled) as stopped:
             # The group checkpoint fires only when no member still wants
             # the answer; complete each by its own terminal cause.
             for request in live:
-                if request.token.cancelled:
-                    self._finish_cancelled(request)
-                else:
-                    self._finish_missed(request, where="mid-flight")
-        except Exception as error:  # noqa: BLE001 - taxonomy boundary
+                self._finish(
+                    request, self._dead(request) or stopped,
+                    where="mid-flight",
+                )
+        except Exception as cause:  # noqa: BLE001 - taxonomy boundary
             for request in live:
-                self._finish_failed(request, error)
+                failure = Failed(f"query execution raised: {cause!r}")
+                failure.__cause__ = cause
+                self._finish(request, failure)
         else:
             for request, result in zip(live, results):
-                if request.token.cancelled:
-                    self._finish_cancelled(request)
-                elif request.deadline.expired:
-                    self._finish_missed(request, where="completed-late")
+                dead = self._dead(request)
+                if dead is None:
+                    self._finish(request, value=result)
                 else:
-                    self._finish_ok(request, result)
+                    self._finish(request, dead, where="completed-late")
         finally:
             for link in link_spans:
                 link.finish(exec_span.status)
+
+    @staticmethod
+    def _dead(request: _Request) -> ServerError | None:
+        """The terminal error of a request nobody can use any more.
+
+        ``Cancelled`` once the client revoked it, else ``DeadlineExceeded``
+        once its deadline passed, else ``None`` (still wanted).
+        """
+        if request.token.cancelled:
+            return Cancelled(f"request {request.request_id} was cancelled")
+        if request.deadline.expired:
+            return DeadlineExceeded(
+                f"request {request.request_id} exceeded its deadline"
+            )
+        return None
 
     @staticmethod
     def _group_checkpoint(live: list[_Request]) -> Callable[[], None]:
@@ -917,7 +866,7 @@ class FrontDoor:
         request.root_span.child(
             "degrade", view=name, staleness=view_result.staleness,
         ).finish()
-        self._finish_degraded(request, view_result)
+        self._finish(request, value=view_result)
         return True
 
     # -- completion ------------------------------------------------------------
@@ -937,155 +886,86 @@ class FrontDoor:
         self._ema_gauge.set(self._exec_ema[kind], kind=kind)
 
     def _finish(
-        self, request: _Request, response: ServerResponse
-    ) -> None:
-        """Deliver the terminal response to the request's ticket."""
-        request.ticket._complete(response)
+        self,
+        request: _Request,
+        error: ServerError | None = None,
+        value: Any = None,
+        **detail: Any,
+    ) -> Ticket:
+        """Complete ``request``: the one terminal path of every outcome.
 
-    def _latencies(self, request: _Request) -> tuple[float, float]:
-        """(queue_seconds, total_seconds) for a terminating request."""
+        Without ``error`` the request was answered -- ``degraded`` when
+        ``value`` is a :class:`~repro.views.ViewResult`, fresh otherwise.
+        With one, the error's type (and a :class:`Rejected`'s ``reason``)
+        picks the status, the ledger field and the audit event, and the
+        response takes ``retryable`` / ``retry_after`` from it.  Writes the
+        tenant ledger (or, for an unknown tenant, the door's own count),
+        the latency reservoir (answers only), the audit log and the trace
+        once each, then completes and returns the ticket.  ``detail``
+        (e.g. ``where=``) rides along in the audit event and the trace.
+        """
         now = self.clock()
-        return (
-            max(0.0, request.started_at - request.admitted_at),
-            max(0.0, now - request.submitted_at),
-        )
+        degraded = isinstance(value, ViewResult)
+        if error is None:
+            status = "ok"
+            event = outcome = "degraded" if degraded else "completed"
+        elif isinstance(error, Rejected):
+            status = event = "rejected"
+            outcome = _REFUSAL_OUTCOMES[error.reason]
+            detail = {"reason": error.reason, **detail}
+        else:
+            status, event, outcome = _ERROR_OUTCOMES[type(error)]
+            if isinstance(error, Failed):
+                detail["error"] = repr(error.__cause__)
+        if degraded:
+            detail.update(view=value.name, staleness=value.staleness)
+        queue_seconds = 0.0
+        if request.admitted_at is not None:
+            left = now if request.started_at is None else request.started_at
+            queue_seconds = max(0.0, left - request.admitted_at)
+        total_seconds = max(0.0, now - request.submitted_at)
 
-    def _finish_ok(self, request: _Request, result: QueryResult) -> None:
-        """Complete a fresh answer: SLA record, EMA update, audit."""
-        queue_seconds, total_seconds = self._latencies(request)
-        self._observe_exec(
-            request, max(0.0, self.clock() - request.started_at)
-        )
-        request.tenant.counters.completed += 1
-        request.tenant.reservoir.record(total_seconds)
-        self._latency_hist.observe(total_seconds, tenant=request.tenant.name)
+        state = request.state
+        with self._lock:
+            if state is None:
+                self._unknown_tenant_rejects += 1
+            else:
+                counters = state.counters
+                setattr(counters, outcome, getattr(counters, outcome) + 1)
+                if status == "ok":
+                    state.reservoir.record(total_seconds)
+        if event == "completed":
+            self._observe_exec(request, max(0.0, now - request.started_at))
         self.audit.record(
-            "completed", request.tenant.name, request.request_id,
-            trace_id=request.trace_id, seconds=total_seconds,
+            event, request.tenant, request.request_id,
+            trace_id=request.trace_id, seconds=total_seconds, **detail,
         )
-        self._close_trace(
-            request, "ok",
+        queue_span = request.queue_span
+        if queue_span is not None and not queue_span.ended:
+            queue_span.finish()
+        root = request.root_span
+        root.child(
+            "response", status=status, degraded=degraded,
             queue_seconds=queue_seconds, total_seconds=total_seconds,
-        )
-        self._finish(
-            request,
-            ServerResponse(
-                status="ok",
-                tenant=request.tenant.name,
-                value=result,
-                queue_seconds=queue_seconds,
-                total_seconds=total_seconds,
-                request_id=request.request_id,
-                trace_id=request.trace_id,
-            ),
-        )
-
-    def _finish_degraded(
-        self, request: _Request, view_result: ViewResult
-    ) -> None:
-        """Complete from a stale view: still an answer, flagged degraded."""
-        queue_seconds, total_seconds = self._latencies(request)
-        request.tenant.counters.degraded += 1
-        request.tenant.reservoir.record(total_seconds)
-        self._latency_hist.observe(total_seconds, tenant=request.tenant.name)
-        self.audit.record(
-            "degraded", request.tenant.name, request.request_id,
-            trace_id=request.trace_id,
-            view=view_result.name, staleness=view_result.staleness,
-        )
-        self._close_trace(
-            request, "ok",
-            degraded=True, staleness=view_result.staleness,
+            **detail,
+        ).finish()
+        root.annotate(status=status, **detail)
+        root.finish(status)
+        request.ticket._complete(ServerResponse(
+            status=status,
+            tenant=request.tenant,
+            value=value,
+            error=error,
+            retryable=error is not None and error.retryable,
+            retry_after=None if error is None else error.retry_after,
+            degraded=degraded,
+            staleness=value.staleness if degraded else 0,
+            queue_seconds=queue_seconds,
             total_seconds=total_seconds,
-        )
-        self._finish(
-            request,
-            ServerResponse(
-                status="ok",
-                tenant=request.tenant.name,
-                value=view_result,
-                degraded=True,
-                staleness=view_result.staleness,
-                queue_seconds=queue_seconds,
-                total_seconds=total_seconds,
-                request_id=request.request_id,
-                trace_id=request.trace_id,
-            ),
-        )
-
-    def _finish_missed(self, request: _Request, where: str) -> None:
-        """Complete as a deadline miss (queued, mid-flight or late)."""
-        queue_seconds, total_seconds = self._latencies(request)
-        request.tenant.counters.deadline_misses += 1
-        self.audit.record(
-            "deadline_miss", request.tenant.name, request.request_id,
-            trace_id=request.trace_id, where=where, seconds=total_seconds,
-        )
-        error = DeadlineExceeded(
-            f"request {request.request_id} exceeded its deadline ({where})"
-        )
-        self._close_trace(request, "deadline_exceeded", where=where)
-        self._finish(
-            request,
-            ServerResponse(
-                status="deadline_exceeded",
-                tenant=request.tenant.name,
-                error=error,
-                retryable=True,
-                queue_seconds=queue_seconds,
-                total_seconds=total_seconds,
-                request_id=request.request_id,
-                trace_id=request.trace_id,
-            ),
-        )
-
-    def _finish_cancelled(self, request: _Request) -> None:
-        """Complete as client-cancelled."""
-        queue_seconds, total_seconds = self._latencies(request)
-        request.tenant.counters.cancelled += 1
-        self.audit.record(
-            "cancelled", request.tenant.name, request.request_id,
+            request_id=request.request_id,
             trace_id=request.trace_id,
-        )
-        self._close_trace(request, "cancelled")
-        self._finish(
-            request,
-            ServerResponse(
-                status="cancelled",
-                tenant=request.tenant.name,
-                error=Cancelled(
-                    f"request {request.request_id} was cancelled"
-                ),
-                queue_seconds=queue_seconds,
-                total_seconds=total_seconds,
-                request_id=request.request_id,
-                trace_id=request.trace_id,
-            ),
-        )
-
-    def _finish_failed(self, request: _Request, cause: Exception) -> None:
-        """Complete as failed, wrapping the execution error."""
-        queue_seconds, total_seconds = self._latencies(request)
-        request.tenant.counters.failed += 1
-        self.audit.record(
-            "failed", request.tenant.name, request.request_id,
-            trace_id=request.trace_id, error=repr(cause),
-        )
-        error = Failed(f"query execution raised: {cause!r}")
-        error.__cause__ = cause
-        self._close_trace(request, "failed", error=repr(cause))
-        self._finish(
-            request,
-            ServerResponse(
-                status="failed",
-                tenant=request.tenant.name,
-                error=error,
-                queue_seconds=queue_seconds,
-                total_seconds=total_seconds,
-                request_id=request.request_id,
-                trace_id=request.trace_id,
-            ),
-        )
+        ))
+        return request.ticket
 
     # -- introspection ---------------------------------------------------------
 
@@ -1104,14 +984,10 @@ class FrontDoor:
             for state in self.tenants.states()
         }
         totals = {
-            field_name: sum(
-                getattr(sla.counters, field_name) for sla in tenants.values()
+            outcome: sum(
+                getattr(sla.counters, outcome) for sla in tenants.values()
             )
-            for field_name in (
-                "submitted", "admitted", "completed", "degraded", "shed",
-                "rate_limited", "quota_rejected", "deadline_misses",
-                "cancelled", "failed",
-            )
+            for outcome in OUTCOMES
         }
         return ServerStats(
             tenants=tenants,
@@ -1140,26 +1016,9 @@ class FrontDoor:
             self._closing = True
         self.admission.close()
         for request in self.admission.drain():
-            request.tenant.counters.admitted -= 1
-            self.audit.record(
-                "rejected", request.tenant.name, request.request_id,
-                trace_id=request.trace_id, reason="shutdown",
-            )
-            self._close_trace(request, "rejected", reason="shutdown")
-            self._finish(
-                request,
-                ServerResponse(
-                    status="rejected",
-                    tenant=request.tenant.name,
-                    error=Rejected(
-                        "front door shut down before dispatch",
-                        reason="shutdown",
-                    ),
-                    total_seconds=self.clock() - request.submitted_at,
-                    request_id=request.request_id,
-                    trace_id=request.trace_id,
-                ),
-            )
+            self._finish(request, Rejected(
+                "front door shut down before dispatch", reason="shutdown",
+            ))
         for thread in self._dispatchers:
             thread.join(timeout=timeout)
 

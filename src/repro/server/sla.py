@@ -5,7 +5,9 @@ The front door records one latency observation per *completed* request
 a bounded :class:`LatencyReservoir`, and counts every terminal outcome in a
 :class:`TenantCounters` ledger.  :class:`TenantSLA` is the frozen snapshot
 :meth:`~repro.server.FrontDoor.stats` publishes per tenant: p50/p95/p99
-latency, deadline-miss and shed counters, quota burn-down.
+latency, deadline-miss and shed counters, quota burn-down.  It is the one
+latency snapshot: the front door's ``frontdoor_latency_quantile_seconds``
+gauges read the same reservoir at scrape time.
 
 The reservoir keeps the most recent ``capacity`` observations in a ring, so
 percentiles track the *current* serving regime (what an SLA dashboard
@@ -15,7 +17,7 @@ lifetime observation count is kept alongside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class LatencyReservoir:
@@ -71,57 +73,35 @@ class LatencyReservoir:
         """The retained observations, unordered (ring order)."""
         return list(self._ring)
 
-    def snapshot(self) -> "ReservoirSnapshot":
-        """Freeze the retained window into a :class:`ReservoirSnapshot`."""
-        return ReservoirSnapshot(
-            count=self.count,
-            retained=len(self._ring),
-            p50=self.percentile(0.50),
-            p95=self.percentile(0.95),
-            p99=self.percentile(0.99),
-            minimum=min(self._ring) if self._ring else 0.0,
-            maximum=max(self._ring) if self._ring else 0.0,
-        )
-
     def __len__(self) -> int:
         return len(self._ring)
-
-
-@dataclass(frozen=True)
-class ReservoirSnapshot:
-    """Point-in-time percentile summary of one :class:`LatencyReservoir`.
-
-    Attributes:
-        count: lifetime observations, including overwritten ones.
-        retained: observations currently in the ring window.
-        p50 / p95 / p99: nearest-rank percentiles over the window.
-        minimum / maximum: extremes of the window (0.0 while empty).
-    """
-
-    count: int = 0
-    retained: int = 0
-    p50: float = 0.0
-    p95: float = 0.0
-    p99: float = 0.0
-    minimum: float = 0.0
-    maximum: float = 0.0
 
 
 @dataclass
 class TenantCounters:
     """Mutable per-tenant outcome ledger (cumulative, monotone).
 
+    ``submitted`` and ``admitted`` are written at admission; every other
+    request count is a terminal outcome, and each submitted request ends
+    in exactly one of them, so ``submitted`` equals their sum once the
+    door is closed and drained.
+
     Attributes:
         submitted: requests offered through :meth:`FrontDoor.submit`.
-        admitted: requests that passed admission into the queue.
+        admitted: requests that ever entered the admission queue.  Never
+            decremented: a request evicted or drained from the queue stays
+            counted here and is also counted under its terminal outcome.
         completed: requests answered fresh.
         degraded: requests answered from a stale view within budget.
-        shed: requests rejected because the bounded queue was full.
+        shed: requests rejected because the bounded queue was full, or
+            evicted from it by higher-priority work.
         rate_limited: requests rejected by the tenant's token bucket.
         quota_rejected: requests rejected for an exhausted quota.
         deadline_misses: requests that terminated ``deadline_exceeded``.
         cancelled: requests revoked by the client.
         failed: requests whose query raised.
+        shutdown: requests refused because the front door was closing --
+            at submission, or drained from the queue by ``close()``.
         quota_used: admission units charged against the tenant quota.
     """
 
@@ -135,7 +115,17 @@ class TenantCounters:
     deadline_misses: int = 0
     cancelled: int = 0
     failed: int = 0
+    shutdown: int = 0
     quota_used: int = 0
+
+
+#: The request-count fields of :class:`TenantCounters` (all but
+#: ``quota_used``), in declaration order: the ``outcome`` labels of
+#: ``frontdoor_requests_total`` and the totals of ``ServerStats``.
+OUTCOMES = tuple(
+    counter.name for counter in fields(TenantCounters)
+    if counter.name != "quota_used"
+)
 
 
 @dataclass(frozen=True)
@@ -183,7 +173,7 @@ def snapshot_sla(
 
 __all__ = [
     "LatencyReservoir",
-    "ReservoirSnapshot",
+    "OUTCOMES",
     "TenantCounters",
     "TenantSLA",
     "snapshot_sla",

@@ -18,7 +18,6 @@ import pytest
 
 from repro.graph.generators import web_locality_graph
 from repro.obs import (
-    DEFAULT_BUCKETS,
     MAX_SPAN_EVENTS,
     NOOP_TRACER,
     NULL_SPAN,
@@ -29,7 +28,13 @@ from repro.obs import (
     json_snapshot,
     prometheus_text,
 )
-from repro.server import FrontDoor, LatencyReservoir, ReservoirSnapshot
+from repro.server import (
+    FrontDoor,
+    LatencyReservoir,
+    TenantCounters,
+    TenantSLA,
+    snapshot_sla,
+)
 from repro.service import (
     BFSQuery,
     CCQuery,
@@ -217,16 +222,6 @@ class TestMetrics:
         gauge.set(1)
         assert gauge.value() == 1.0
 
-    def test_histogram_buckets_sum_count(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("seconds", buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 2.0):
-            hist.observe(value)
-        assert hist.count() == 3
-        assert hist.sum() == pytest.approx(2.55)
-        [sample] = hist.samples()
-        assert sample["buckets"] == [(0.1, 1), (1.0, 2), ("+Inf", 3)]
-
     def test_get_or_create_is_idempotent_but_typed(self):
         registry = MetricsRegistry()
         first = registry.counter("c", labels=("a",))
@@ -258,18 +253,13 @@ class TestExporters:
             "requests_total", "Requests.", labels=("tenant",)
         ).inc(3, tenant='we"ird\\te\nnant')
         registry.gauge("depth", "Depth.").set(2.5)
-        hist = registry.histogram("lat", "Latency.", buckets=(0.5,))
-        hist.observe(0.1)
         text = prometheus_text(registry)
         assert "# HELP requests_total Requests." in text
         assert "# TYPE requests_total counter" in text
         assert (
             'requests_total{tenant="we\\"ird\\\\te\\nnant"} 3' in text
         )
-        assert "depth 2.5" in text
-        assert 'lat_bucket{le="0.5"} 1' in text
-        assert 'lat_bucket{le="+Inf"} 1' in text
-        assert "lat_sum 0.1" in text and "lat_count 1" in text
+        assert "# TYPE depth gauge" in text and "depth 2.5" in text
         assert text.endswith("\n")
 
     def test_json_snapshot_bundles_everything(self):
@@ -309,7 +299,7 @@ class TestReservoirEdgeCases:
         reservoir = LatencyReservoir(capacity=4)
         assert reservoir.percentile(0.0) == 0.0
         assert reservoir.percentile(0.99) == 0.0
-        assert reservoir.snapshot() == ReservoirSnapshot()
+        assert snapshot_sla("t", TenantCounters(), reservoir) == TenantSLA("t")
 
     def test_single_sample_is_every_quantile(self):
         reservoir = LatencyReservoir(capacity=4)
@@ -330,10 +320,9 @@ class TestReservoirEdgeCases:
         reservoir = LatencyReservoir(capacity=2)
         for value in (5.0, 1.0, 3.0):  # 5.0 overwritten by the ring
             reservoir.record(value)
-        snap = reservoir.snapshot()
-        assert snap.count == 3 and snap.retained == 2
-        assert snap.minimum == 1.0 and snap.maximum == 3.0
-        assert snap.p50 == 3.0 and snap.p99 == 3.0
+        sla = snapshot_sla("t", TenantCounters(), reservoir)
+        assert sla.latency_count == 3 and len(reservoir) == 2
+        assert sla.p50 == 3.0 and sla.p99 == 3.0
         assert sorted(reservoir.values()) == [1.0, 3.0]
 
 
@@ -525,8 +514,6 @@ class TestDifferentialConsistency:
         after = {}
         for doc in metrics.collect():
             for sample in doc["samples"]:
-                if "value" not in sample:
-                    continue  # histograms checked separately
                 key = (doc["name"], tuple(sorted(sample["labels"].items())))
                 after[key] = sample["value"]
         return {
@@ -540,7 +527,6 @@ class TestDifferentialConsistency:
                 sample["value"]
             for doc in metrics.collect()
             for sample in doc["samples"]
-            if "value" in sample
         }
 
     def test_registry_counters_track_legacy_stats_deltas(self, traced):
@@ -584,9 +570,13 @@ class TestDifferentialConsistency:
             stats_after.unknown_tenant_rejects
             - stats_before.unknown_tenant_rejects
         )
-        # Latency surfaces agree: histogram count == reservoir lifetime.
-        hist = metrics.get("frontdoor_request_seconds")
-        assert hist.count(tenant="t") == stats_after.tenants["t"].latency_count
+        # Latency surfaces agree: the observation counter reads the
+        # reservoir's lifetime count, which only answered requests move.
+        observations = metrics.get("frontdoor_latency_observations_total")
+        assert observations.value(tenant="t") == (
+            stats_after.tenants["t"].latency_count
+        )
+        assert delta("frontdoor_latency_observations_total", tenant="t") == 5
         # Quantile gauges re-read the same reservoir the SLA snapshots use.
         p99 = metrics.get("frontdoor_latency_quantile_seconds")
         assert p99.value(tenant="t", quantile="0.99") == (

@@ -11,13 +11,16 @@ draining exact assertions instead of timing-dependent ones.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+from unittest.mock import ANY
 
 import numpy as np
 import pytest
 
 from repro.graph.generators import web_locality_graph
+from repro.obs import Telemetry
 from repro.service import BFSQuery, CCQuery, PageRankQuery, TraversalService
 from repro.server import (
     AdmissionController,
@@ -650,3 +653,393 @@ class TestFrontDoorObservability:
         door.register_tenant("t")
         value = door.submit("t", CCQuery("g")).result(timeout=30)
         assert value.kind == "cc"
+
+
+# ---------------------------------------------------------------------------
+# Terminal outcomes: one row per way a request can end
+# ---------------------------------------------------------------------------
+
+#: TenantCounters fields written at admission rather than at termination.
+_ADMISSION_FIELDS = ("submitted", "admitted", "quota_used")
+
+
+def _ledger(door, tenant):
+    """``tenant``'s terminal-outcome counts plus the door's unknown-tenant
+    refusals (which no tenant ledger can hold)."""
+    stats = door.stats()
+    sla = stats.tenants.get(tenant)
+    counts = {} if sla is None else {
+        name: value
+        for name, value in vars(sla.counters).items()
+        if name not in _ADMISSION_FIELDS
+    }
+    counts["unknown_tenant_rejects"] = stats.unknown_tenant_rejects
+    return counts
+
+
+def _hold(door, gated):
+    """Close the gate and park a ``blocker`` request in the dispatcher."""
+    gated.gate.clear()
+    head = door.submit("blocker", CCQuery("g"))
+    assert _wait_until(lambda: door.admission.depth() == 0)
+    return head
+
+
+@pytest.fixture()
+def outcomes(serving):
+    """A fully traced door on a fake clock over the gated ``serving`` service.
+
+    A CC view makes degraded answers possible; the ``blocker`` tenant's
+    head request holds the dispatcher while the gate is closed, so queue
+    state is exact.
+    """
+    _, gated = serving
+    clock = FakeClock()
+    gated._real.register_view("cc-view", "g", "cc")
+    door = FrontDoor(
+        gated, queue_capacity=4, clock=clock, degraded_staleness=2,
+        telemetry=Telemetry(sample_rate=1.0),
+    )
+    door.register_tenant("blocker")
+    door.register_tenant("t")
+    yield door, gated, clock
+    gated.gate.set()
+    door.close(timeout=5.0)
+
+
+def _case_fresh(door, gated, clock, mark):
+    mark("t")
+    return door.submit("t", CCQuery("g"))
+
+
+def _case_degraded(door, gated, clock, mark):
+    door._exec_ema["CCQuery"] = 100.0  # fresh work predicted to miss
+    mark("t")
+    return door.submit("t", CCQuery("g"), deadline=1.0)
+
+
+def _case_unknown_tenant(door, gated, clock, mark):
+    mark("ghost")
+    return door.submit("ghost", CCQuery("g"))
+
+
+def _case_rate_limited(door, gated, clock, mark):
+    door.register_tenant("slow", rate=1.0, burst=1.0)
+    assert door.call("slow", CCQuery("g"), timeout=30).ok
+    mark("slow")
+    return door.submit("slow", CCQuery("g"))
+
+
+def _case_quota(door, gated, clock, mark):
+    door.register_tenant("metered", quota=0)
+    mark("metered")
+    return door.submit("metered", CCQuery("g"))
+
+
+def _case_queue_full(door, gated, clock, mark):
+    door._exec_ema["CCQuery"] = 0.5  # drain estimate: 4 waiting x 0.5 s
+    _hold(door, gated)
+    for _ in range(4):
+        door.submit("blocker", CCQuery("g"))
+    mark("t")
+    return door.submit("t", CCQuery("g"))
+
+
+def _case_priority_evicted(door, gated, clock, mark):
+    door.register_tenant("bg", priority=2)
+    door.register_tenant("fg", priority=0)
+    door._exec_ema["CCQuery"] = 0.5
+    _hold(door, gated)
+    for _ in range(3):
+        door.submit("blocker", CCQuery("g"))
+    victim = door.submit("bg", CCQuery("g"))
+    mark("bg")
+    door.submit("fg", CCQuery("g"))
+    return victim
+
+
+def _case_shutdown_drained(door, gated, clock, mark):
+    _hold(door, gated)
+    queued = door.submit("t", CCQuery("g"))
+    mark("t")
+    closer = threading.Thread(target=door.close, kwargs={"timeout": 5.0})
+    closer.start()
+    queued.response(timeout=30)
+    gated.gate.set()
+    closer.join(timeout=30)
+    return queued
+
+
+def _case_deadline_missed(door, gated, clock, mark):
+    _hold(door, gated)
+    doomed = door.submit("t", CCQuery("g"), deadline=1.0)
+    mark("t")
+    clock.advance(2.0)
+    gated.gate.set()
+    return doomed
+
+
+def _case_cancelled(door, gated, clock, mark):
+    _hold(door, gated)
+    victim = door.submit("t", CCQuery("g"))
+    mark("t")
+    victim.cancel()
+    gated.gate.set()
+    return victim
+
+
+def _case_failed(door, gated, clock, mark):
+    def explode(queries, checkpoint=None):
+        raise RuntimeError("boom")
+
+    gated.submit = explode
+    mark("t")
+    return door.submit("t", CCQuery("g"))
+
+
+_TERMINAL_EVENTS = (
+    "rejected", "completed", "degraded", "deadline_miss", "cancelled",
+    "failed",
+)
+
+#: case -> (status, retryable, retry_after, audit event, audit detail
+#: (ANY = key present), ledger field counting the outcome)
+_OUTCOME_MATRIX = {
+    "fresh": (
+        _case_fresh, "ok", False, None, "completed",
+        {"seconds": ANY}, "completed",
+    ),
+    "degraded": (
+        _case_degraded, "ok", False, None, "degraded",
+        {"view": "cc-view", "staleness": 0}, "degraded",
+    ),
+    "unknown_tenant": (
+        _case_unknown_tenant, "rejected", False, None, "rejected",
+        {"reason": "unknown_tenant"}, "unknown_tenant_rejects",
+    ),
+    "rate_limited": (
+        _case_rate_limited, "rejected", True, 1.0, "rejected",
+        {"reason": "rate_limited"}, "rate_limited",
+    ),
+    "quota": (
+        _case_quota, "rejected", False, None, "rejected",
+        {"reason": "quota_exhausted"}, "quota_rejected",
+    ),
+    "queue_full": (
+        _case_queue_full, "rejected", True, 2.0, "rejected",
+        {"reason": "queue_full"}, "shed",
+    ),
+    "priority_evicted": (
+        _case_priority_evicted, "rejected", True, 2.0, "rejected",
+        {"reason": "queue_full", "evicted_by_priority": True}, "shed",
+    ),
+    "shutdown_drained": (
+        _case_shutdown_drained, "rejected", False, None, "rejected",
+        {"reason": "shutdown"}, "shutdown",
+    ),
+    "deadline_missed": (
+        _case_deadline_missed, "deadline_exceeded", True, None,
+        "deadline_miss", {"where": "queued", "seconds": ANY},
+        "deadline_misses",
+    ),
+    "cancelled": (
+        _case_cancelled, "cancelled", False, None, "cancelled", {},
+        "cancelled",
+    ),
+    "failed": (
+        _case_failed, "failed", False, None, "failed",
+        {"error": "RuntimeError('boom')"}, "failed",
+    ),
+}
+
+
+class TestTerminalOutcomes:
+    @pytest.mark.parametrize("case", sorted(_OUTCOME_MATRIX))
+    def test_outcome_is_recorded_once_everywhere(self, outcomes, case):
+        door, gated, clock = outcomes
+        (run, status, retryable, retry_after, event, detail,
+         field_name) = _OUTCOME_MATRIX[case]
+        marks = {}
+
+        def mark(tenant):
+            marks["tenant"], marks["before"] = tenant, _ledger(door, tenant)
+
+        ticket = run(door, gated, clock, mark)
+        response = ticket.response(timeout=30)
+        gated.gate.set()
+
+        # The response.
+        assert response.status == status
+        assert response.retryable is retryable
+        assert response.retry_after == pytest.approx(retry_after)
+        assert response.degraded is (field_name == "degraded")
+        assert response.trace_id == ticket.trace_id
+        # Exactly one terminal audit event, carrying its detail.
+        trail = [
+            record for record in door.audit.events()
+            if record.request_id == ticket.request_id
+        ]
+        terminal = [r for r in trail if r.event in _TERMINAL_EVENTS]
+        assert [r.event for r in terminal] == [event]
+        assert detail.keys() <= terminal[0].detail.keys()
+        assert {key: terminal[0].detail[key] for key in detail} == detail
+        # A finished trace whose response span carries the status.
+        root = door.telemetry.trace(ticket.trace_id)
+        assert root is not None and root.status == status
+        assert root.find("response").attributes["status"] == status
+        assert all(span.ended for span in root.walk())
+        # Exactly one ledger increment.
+        after = _ledger(door, marks["tenant"])
+        delta = {
+            name: after[name] - marks["before"].get(name, 0)
+            for name in after
+            if after[name] != marks["before"].get(name, 0)
+        }
+        assert delta == {field_name: 1}
+
+    @staticmethod
+    def _requests_total(door):
+        """The ``frontdoor_requests_total`` samples of one scrape."""
+        prefix = "frontdoor_requests_total{"
+        return {
+            line.rsplit(" ", 1)[0]: float(line.rsplit(" ", 1)[1])
+            for line in door.telemetry.prometheus().splitlines()
+            if line.startswith(prefix)
+        }
+
+    def test_requests_total_never_decreases(self, outcomes):
+        door, gated, _ = outcomes
+        door.register_tenant("bg", priority=2)
+        door.register_tenant("fg", priority=0)
+        scrapes = [self._requests_total(door)]
+        _hold(door, gated)
+        background = [door.submit("bg", CCQuery("g")) for _ in range(4)]
+        scrapes.append(self._requests_total(door))
+        door.submit("fg", CCQuery("g"))  # evicts the newest bg request
+        assert background[-1].response(timeout=30).status == "rejected"
+        scrapes.append(self._requests_total(door))
+        closer = threading.Thread(target=door.close, kwargs={"timeout": 5.0})
+        closer.start()
+        for ticket in background:
+            ticket.response(timeout=30)
+        gated.gate.set()
+        closer.join(timeout=30)
+        scrapes.append(self._requests_total(door))
+        for before, after in zip(scrapes, scrapes[1:]):
+            for sample, value in before.items():
+                assert after[sample] >= value, sample
+        assert scrapes[-1][
+            'frontdoor_requests_total{tenant="bg",outcome="admitted"}'
+        ] == 4
+        assert scrapes[-1][
+            'frontdoor_requests_total{tenant="bg",outcome="shutdown"}'
+        ] == 3
+
+    def test_every_submission_ends_in_exactly_one_outcome(self, outcomes):
+        door, gated, _ = outcomes
+        door.register_tenant("slow", rate=1.0, burst=1.0)
+        door.register_tenant("metered", quota=1)
+        door.register_tenant("bg", priority=2)
+        for tenant in ("t", "slow", "slow", "metered", "metered"):
+            door.call(tenant, CCQuery("g"), timeout=30)
+        _hold(door, gated)
+        background = [door.submit("bg", CCQuery("g")) for _ in range(4)]
+        door.submit("t", CCQuery("g"))  # evicts background[-1]
+        door.submit("bg", CCQuery("g"))  # shed: the queue is full
+        background[0].cancel()
+        closer = threading.Thread(target=door.close, kwargs={"timeout": 5.0})
+        closer.start()
+        for ticket in background:
+            ticket.response(timeout=30)
+        gated.gate.set()
+        closer.join(timeout=30)
+        late = door.submit("t", CCQuery("g"))
+        assert late.response(timeout=30).error.reason == "shutdown"
+
+        terminal = (
+            "completed", "degraded", "shed", "rate_limited",
+            "quota_rejected", "deadline_misses", "cancelled", "failed",
+            "shutdown",
+        )
+        stats = door.stats()
+        for name, sla in stats.tenants.items():
+            counters = sla.counters
+            assert counters.submitted == sum(
+                getattr(counters, outcome) for outcome in terminal
+            ), name
+        assert stats.submitted == sum(
+            getattr(stats, outcome) for outcome in terminal
+        )
+        assert stats.shutdown == 5  # 3 bg + 1 t drained, 1 t refused late
+        # 3 calls, the blocker, 4 bg and 1 t: evicted and drained ones too.
+        assert stats.admitted == 9
+
+    def test_ledger_conserves_under_concurrent_callers(self):
+        """Eight callers race three dispatchers into a two-slot queue.
+
+        Every outcome is counted under the door's lock, so after ``close``
+        each tenant's ledger must equal the statuses its tickets report; a
+        lost read-modify-write update would break the equality.
+        """
+        service = TraversalService()
+        service.register_graph("g", web_locality_graph(60, seed=1))
+        door = FrontDoor(service, queue_capacity=2, dispatchers=3)
+        door.register_tenant("hot", rate=200.0, burst=4.0)
+        door.register_tenant("metered", quota=25)
+        door.register_tenant("bg", priority=2)
+        door.register_tenant("fg", priority=0)
+        tenants = ("hot", "metered", "bg", "fg")
+        tickets = {tenant: [] for tenant in tenants}
+
+        def client(index):
+            for step in range(40):
+                tenant = tenants[(index + step) % len(tenants)]
+                query = (
+                    BFSQuery("g", source=step % 60) if step % 3
+                    else CCQuery("g")
+                )
+                ticket = door.submit(
+                    tenant, query, deadline=0.002 if step % 5 == 0 else None
+                )
+                if step % 7 == 0:
+                    ticket.cancel()
+                tickets[tenant].append(ticket)
+                time.sleep(0.002)  # paced, so some requests get through
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [
+                threading.Thread(target=client, args=(index,))
+                for index in range(8)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+            assert not any(caller.is_alive() for caller in callers)
+            door.close(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = door.stats()
+        for tenant in tenants:
+            responses = [t.response(timeout=30) for t in tickets[tenant]]
+            counters = stats.tenants[tenant].counters
+            seen = {
+                "completed": sum(r.ok and not r.degraded for r in responses),
+                "deadline_misses": sum(
+                    r.status == "deadline_exceeded" for r in responses
+                ),
+                "cancelled": sum(r.status == "cancelled" for r in responses),
+                "rejected": sum(r.status == "rejected" for r in responses),
+            }
+            assert counters.submitted == len(responses) == 80
+            assert counters.completed == seen["completed"]
+            assert counters.deadline_misses == seen["deadline_misses"]
+            assert counters.cancelled == seen["cancelled"]
+            assert seen["rejected"] == (
+                counters.shed + counters.rate_limited
+                + counters.quota_rejected + counters.shutdown
+            )
+            assert counters.failed == counters.degraded == 0
+        service.close()
