@@ -107,7 +107,7 @@ class ShardCounters:
             gathered back to the coordinator.
         boundary_messages: the subset of the exchange whose neighbour lives
             on a different shard than its source -- true cross-shard traffic.
-        shard_touches: scatter tasks dispatched to each shard so far.
+        shard_touches: superstep tasks dispatched to each shard so far.
         cost: simulated total-work cost accumulated across shard engines.
         elapsed_proxy: cost divided by the device's warp-level parallelism.
     """
@@ -156,23 +156,22 @@ class _ShardState:
 def _shard_expand(
     state: _ShardState, nodes: list[int]
 ) -> tuple[dict[int, list[int]], KernelMetrics]:
-    """One shard's scatter: expand ``nodes``, collect neighbours per source.
+    """One shard's expansion of distinct ``nodes``: neighbours per source.
 
     The collecting filter admits nothing (frontier management happens at the
-    gather), so the expansion charges exactly the decode/traversal work the
-    shard's engine would do anyway.  Tombstone suppression of the shard's
-    overlay still runs ahead of the collector, so deleted edges never leave
-    the shard.
+    coordinator's canonical replay), so the expansion charges exactly the
+    decode/traversal work the shard's engine would do anyway.  Tombstone
+    suppression of the shard's overlay still runs ahead of the collector, so
+    deleted edges never leave the shard.
     """
-    unique = list(dict.fromkeys(nodes))
-    collected: dict[int, set[int]] = {node: set() for node in unique}
+    collected: dict[int, set[int]] = {node: set() for node in nodes}
 
     def collect(source: int, neighbor: int) -> bool:
         collected[source].add(neighbor)
         return False
 
     session = state.engine.new_session()
-    session.expand(unique, collect)
+    session.expand(nodes, collect)
     return (
         {node: sorted(neighbors) for node, neighbors in collected.items()},
         session.metrics,
@@ -438,7 +437,7 @@ class ShardExecutor:
         #: Cooperative cancellation hook: when set, polled once per
         #: superstep (every backend) at the top of each
         #: :meth:`expand`/:meth:`bfs`/:meth:`msbfs` iteration and before
-        #: :meth:`gather_adjacency` scatters.  Raising from it (e.g. a
+        #: :meth:`gather_adjacency` reads.  Raising from it (e.g. a
         #: deadline or cancel probe, see :mod:`repro.server.deadline`)
         #: aborts the traversal between supersteps -- no partial superstep,
         #: no torn shard state; counters reflect exactly the supersteps
@@ -449,9 +448,9 @@ class ShardExecutor:
         #: the service's telemetry wiring replaces the no-op tracer, after
         #: which every superstep of :meth:`expand`/:meth:`bfs`/:meth:`msbfs`/
         #: :meth:`gather_adjacency` opens one ``superstep`` span (nested
-        #: under the calling request's span tree) carrying per-shard device
-        #: costs and the step's critical-path cost.  The default records
-        #: nothing and allocates nothing.
+        #: under the calling request's span tree).  Kernel steps carry per-
+        #: shard device costs and the critical-path cost; gathers run no
+        #: kernel and carry none.  The default records and allocates nothing.
         self.tracer = NOOP_TRACER
 
         #: Per-shard state held by the coordinator (``inline`` only).
@@ -657,6 +656,15 @@ class ShardExecutor:
                 **annotations,
             )
 
+    def _open_superstep(self, nodes: list[int]) -> dict[int, tuple]:
+        """Split the distinct ``nodes`` by owner into per-shard call
+        arguments, counting one superstep that touches those shards."""
+        groups = self.partition.split_frontier(list(dict.fromkeys(nodes)))
+        self.supersteps += 1
+        for shard in groups:
+            self.shard_touches[shard] += 1
+        return {shard: (share,) for shard, share in groups.items()}
+
     def _merge_levels(self) -> np.ndarray:
         """Merge the shards' ``(lanes, nodes)`` MS-BFS levels, each shard
         authoritative for the nodes it owns."""
@@ -665,24 +673,6 @@ class ShardExecutor:
         for shard, owned in enumerate(self.partition.shard_nodes):
             merged[:, owned] = shard_levels[shard][:, owned]
         return merged
-
-    def _scatter(self, nodes: list[int], /, **span_fields) -> dict:
-        """One expansion superstep: every owner shard expands its share of
-        ``nodes``; returns each shard's neighbour lists keyed by source."""
-        groups = self.partition.split_frontier(nodes)
-        self.supersteps += 1
-        for shard in groups:
-            self.shard_touches[shard] += 1
-        with self.tracer.span("superstep", **span_fields) as span:
-            results = self._on_shards(
-                _shard_expand,
-                {shard: (share,) for shard, share in groups.items()},
-            )
-            self._charge_superstep(
-                span,
-                {shard: metrics for shard, (_, metrics) in results.items()},
-            )
-        return {shard: collected for shard, (collected, _) in results.items()}
 
     # -- supersteps ------------------------------------------------------------
 
@@ -701,14 +691,20 @@ class ShardExecutor:
         frontier = list(frontier)
         if not frontier:
             return []
-        collected = self._scatter(
-            frontier, op="expand", frontier=len(frontier)
-        )
+        shares = self._open_superstep(frontier)
+        with self.tracer.span(
+            "superstep", op="expand", frontier=len(frontier)
+        ) as span:
+            results = self._on_shards(_shard_expand, shares)
+            self._charge_superstep(
+                span,
+                {shard: metrics for shard, (_, metrics) in results.items()},
+            )
         assignment = self.partition.assignment
         next_frontier: list[int] = []
         for node in frontier:
             shard = int(assignment[node])
-            neighbors = collected[shard][node]
+            neighbors = results[shard][0][node]
             if not neighbors:
                 continue
             self.exchange_volume += len(neighbors)
@@ -994,17 +990,16 @@ class ShardExecutor:
     # -- materialisation -------------------------------------------------------
 
     def gather_adjacency(self, nodes) -> dict[int, list[int]]:
-        """Decode the live adjacency of ``nodes``, routed to owner shards.
+        """Read the live adjacency of ``nodes`` from their owner shards.
 
-        One scatter: the requested ids are split by owner
-        (:meth:`~repro.shard.partition.GraphPartition.split_frontier`), each
-        touched shard decodes its share through its resident engine --
-        tombstones suppressed, side-stream inserts merged -- and the sorted
-        neighbour lists are gathered back, keyed by node id.  This is the
-        repair-read path of the incremental views (:mod:`repro.views`):
-        component-scoped recompute and frontier re-sweeps fetch exactly the
-        adjacency they touch, shard-parallel, without materialising the
-        whole graph.  Counts as one superstep in the exchange ledger.
+        The distinct ids are split by owner and each touched shard reads its
+        share from its delta overlay (tombstones dropped, side-stream inserts
+        and compacted extents merged): sorted neighbour lists keyed by node
+        id.  This is the repair-read path of the incremental views
+        (:mod:`repro.views`).  It counts as one superstep in the exchange
+        ledger and opens one ``superstep`` span (``op="gather"``), but runs
+        no simulated kernel: view maintenance reads are not modelled
+        queries, so :attr:`kernel_metrics` and :attr:`critical_cost` stay.
         """
         if self._closed:
             raise RuntimeError("executor is closed")
@@ -1018,11 +1013,13 @@ class ShardExecutor:
                 raise IndexError(
                     f"node {node} out of range [0, {num_nodes})"
                 )
+        shares = self._open_superstep(node_list)
+        with self.tracer.span("superstep", op="gather", nodes=len(node_list)):
+            lists = self._on_shards(_shard_adjacency, shares)
         merged: dict[int, list[int]] = {}
-        scattered = self._scatter(node_list, op="gather", nodes=len(node_list))
-        for collected in scattered.values():
-            merged.update(collected)
-            self.exchange_volume += sum(map(len, collected.values()))
+        for shard, (share,) in shares.items():
+            merged.update(zip(share, lists[shard]))
+            self.exchange_volume += sum(map(len, lists[shard]))
         return merged
 
     def adjacency(self) -> list[list[int]]:

@@ -13,8 +13,8 @@ view kind shares:
 * :class:`ViewResult` -- an epoch-tagged answer, carrying the logical epoch
   the value reflects and its staleness in epochs;
 * :class:`GraphContext` -- a view's window onto its (possibly sharded)
-  resident graph: adjacency reads routed through delta overlays or per-shard
-  scatter, full-topology access for rebuilds;
+  resident graph: adjacency reads from the delta overlay or the owner
+  shards' overlays, full-topology access for rebuilds;
 * :class:`MaterializedView` -- the abstract contract the concrete views in
   :mod:`repro.views.cc` / :mod:`repro.views.pagerank` /
   :mod:`repro.views.khop` implement.
@@ -115,7 +115,7 @@ class GraphContext:
     registration) so views keep working across
     :meth:`~repro.service.GraphRegistry.replace`, which swaps entry objects
     wholesale.  Adjacency reads go through the live serving state -- the
-    delta overlay of an unsharded entry, or per-shard scatter
+    delta overlay of an unsharded entry, or the owner shards' overlays
     (:meth:`~repro.shard.executor.ShardExecutor.gather_adjacency`) for a
     sharded one -- so repair reads exactly what queries read.
     """
@@ -160,7 +160,7 @@ class GraphContext:
         """Live adjacency of ``nodes``, decoded through the serving state.
 
         Sharded entries route the request to owner shards through the
-        executor (one scatter per call, all backends); unsharded entries
+        executor (one read per call, all backends); unsharded entries
         decode through the delta overlay.  Returns sorted neighbour lists
         keyed by node id.
         """

@@ -19,9 +19,9 @@ split:
   component and member adjacency never escapes the member set.
 
 On sharded graphs the member adjacency is gathered through
-:meth:`~repro.shard.executor.ShardExecutor.gather_adjacency` -- one scatter
-routed to owner shards -- and the per-shard neighbour lists are merged back
-into the coordinator's forest, shard by shard.
+:meth:`~repro.shard.executor.ShardExecutor.gather_adjacency`, which reads
+each owner shard's overlay directly (no simulated kernel), and the neighbour
+lists are re-unioned into the coordinator's forest.
 """
 
 from __future__ import annotations
@@ -131,10 +131,10 @@ class CCView(MaterializedView):
     def _repair_deletions(self, deletes: list[EdgeUpdate]) -> float:
         """Bounded recompute of every component a tombstone touched.
 
-        Members of affected components are gathered in one per-shard-routed
-        adjacency scatter, their forest slots reset, and their live edges
-        re-unioned -- the coordinator-side merge of the per-shard repair.
-        Returns the modelled work units spent.
+        Members of affected components have their adjacency gathered in one
+        read, their forest slots reset, and their live edges re-unioned.
+        Returns the modelled work units spent; raises :class:`RuntimeError`
+        if a gathered edge leaves the member set (corrupted repair scope).
         """
         affected_roots = {
             self._forest.find(node)
@@ -157,10 +157,11 @@ class CCView(MaterializedView):
                 # The scope argument guarantees closure; a neighbour outside
                 # the member set would mean the resident partition was not
                 # coarser than the truth, i.e. corrupted state.
-                assert neighbor in member_set, (
-                    f"CC repair scope violated: edge ({node}, {neighbor}) "
-                    "leaves the affected components"
-                )
+                if neighbor not in member_set:
+                    raise RuntimeError(
+                        f"CC repair scope violated: edge ({node}, {neighbor}) "
+                        "leaves the affected components"
+                    )
                 self._forest.union(node, neighbor)
                 work += 1.0
         self.stats.repair_fanout += len(members)

@@ -17,6 +17,8 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,13 +28,15 @@ from repro.apps.bfs import bfs
 from repro.apps.cc import connected_components
 from repro.apps.pagerank import personalized_pagerank
 from repro.baselines.cpu import NaiveCPUEngine
-from repro.dynamic.updates import EdgeUpdate
+from repro.dynamic.compaction import CompactionPolicy
+from repro.dynamic.updates import INSERT, EdgeUpdate
 from repro.graph.generators import (
     power_law_graph,
     uniform_dense_graph,
     web_locality_graph,
 )
 from repro.graph.graph import Graph
+from repro.obs.trace import Tracer
 from repro.service import (
     BCQuery,
     BFSQuery,
@@ -554,6 +558,101 @@ class TestExecutorMechanics:
         # accounting must see it.
         executor.bfs(0)
         assert executor.live_bits() > before
+
+
+# ---------------------------------------------------------------------------
+# gather_adjacency: the view-repair read path
+# ---------------------------------------------------------------------------
+
+def _unused_targets(graph: Graph, node: int, count: int) -> list[int]:
+    """``count`` targets that are not yet neighbours of ``node``."""
+    present = set(graph.neighbors(node)) | {node}
+    return [t for t in range(graph.num_nodes) if t not in present][:count]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestGatherAdjacency:
+    """``gather_adjacency`` reads each owner shard's overlay directly: it
+    returns the from-scratch adjacency for clean, dirty and compacted nodes,
+    counts one superstep in the exchange ledger and charges no modelled
+    cost, on every backend."""
+
+    def test_matches_from_scratch_adjacency_and_ledger(
+        self, backend, family_graphs
+    ):
+        graph = family_graphs["web-locality"]
+        compacted, dirty = 5, 7
+        deleted = graph.neighbors(dirty)[0]
+        batch = [
+            *(EdgeUpdate.insert(compacted, t)
+              for t in _unused_targets(graph, compacted, 3)),
+            EdgeUpdate.insert(dirty, _unused_targets(graph, dirty, 1)[0]),
+            EdgeUpdate.delete(dirty, deleted),
+        ]
+        expected = [set(graph.neighbors(n)) for n in range(graph.num_nodes)]
+        for update in batch:
+            if update.kind == INSERT:
+                expected[update.source].add(update.target)
+            else:
+                expected[update.source].discard(update.target)
+
+        # A delta of three compacts node 5 into a side-stream extent; node
+        # 7's delta of two (insert + tombstone) stays pending.
+        policy = CompactionPolicy(min_delta=3, degree_fraction=0.0)
+        sharded = ShardedCGRGraph.from_graph(graph, 3)
+        with ShardExecutor(
+            sharded, backend=backend, compaction_policy=policy
+        ) as executor:
+            assert executor.apply_updates(batch).compactions == 1
+            executor.bfs(0)  # some modelled work the gather must not add to
+            tracer = Tracer()
+            executor.tracer = tracer
+            before = executor.counters()
+            metrics_before = copy.deepcopy(executor.kernel_metrics)
+            critical_before = executor.critical_cost
+
+            clean = [0, 1, 50, 119]
+            requested = [*clean, dirty, compacted, dirty, 0]
+            gathered = executor.gather_adjacency(requested)
+
+            assert gathered == {
+                node: sorted(expected[node])
+                for node in dict.fromkeys(requested)
+            }
+            after = executor.counters()
+            assert after.supersteps == before.supersteps + 1
+            owners = {int(sharded.partition.assignment[n]) for n in requested}
+            touched = [
+                a - b
+                for a, b in zip(after.shard_touches, before.shard_touches)
+            ]
+            assert touched == [int(shard in owners) for shard in range(3)]
+            # Repeated ids are read and counted once.
+            assert after.exchange_volume == before.exchange_volume + sum(
+                len(expected[node]) for node in set(requested)
+            )
+            assert after.boundary_messages == before.boundary_messages
+            assert executor.kernel_metrics == metrics_before
+            assert executor.critical_cost == critical_before
+            assert after.cost == before.cost
+            [span] = tracer.traces()
+            assert span.name == "superstep"
+            assert span.attributes == {"op": "gather", "nodes": len(requested)}
+
+    def test_empty_out_of_range_and_closed(self, backend, family_graphs):
+        sharded = ShardedCGRGraph.from_graph(family_graphs["power-law"], 2)
+        executor = ShardExecutor(sharded, backend=backend)
+        try:
+            assert executor.gather_adjacency([]) == {}
+            with pytest.raises(IndexError):
+                executor.gather_adjacency([0, executor.num_nodes])
+            with pytest.raises(IndexError):
+                executor.gather_adjacency([-1])
+            assert executor.counters().supersteps == 0
+        finally:
+            executor.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            executor.gather_adjacency([0])
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.service import TraversalService
+from repro.views.base import GraphContext
 
 SOURCE = 0
 EXACT_EPS = 1e-4
@@ -386,6 +387,27 @@ def test_cc_deletion_repair_is_component_scoped():
     # Repair touched the split component's members only (nodes 0..2).
     assert 0 < stats.repair_fanout <= 3
     assert stats.full_recomputes == 0
+
+
+def test_cc_repair_scope_violation_raises(monkeypatch):
+    """A gathered edge leaving the affected components means the resident
+    partition was corrupted: the guard raises an explicit RuntimeError (not
+    an ``assert``, which ``python -O`` strips)."""
+    graph = Graph([[1], [2], [], [4], []])
+    service = TraversalService()
+    service.register_graph("g", graph)
+    service.register_view("cc", "g", kind="cc")
+    original = GraphContext.gather_adjacency
+
+    def leaky_gather(context, nodes):
+        adjacency = original(context, nodes)
+        # Node 4 lies in the untouched 3-4 component, outside the scope.
+        adjacency[min(adjacency)] = sorted(adjacency[min(adjacency)] + [4])
+        return adjacency
+
+    monkeypatch.setattr(GraphContext, "gather_adjacency", leaky_gather)
+    with pytest.raises(RuntimeError, match="CC repair scope violated"):
+        service.apply_updates("g", [EdgeUpdate.delete(1, 2)])
 
 
 def test_exact_pagerank_skips_batches_outside_support():
