@@ -34,10 +34,13 @@ def record_decode() -> dict:
     """The decode-throughput benchmark (see ``repro.bench.decode_bench``)."""
     from repro.bench.decode_bench import (
         DECODE_BENCH_SCALE,
+        PLAN_BENCH_WINDOW,
         run_decode_benchmark,
+        run_plan_batch_benchmark,
     )
 
     results = run_decode_benchmark()
+    plans = run_plan_batch_benchmark()
     return {
         "benchmark": "decode_throughput",
         "unit": "edges/second, end-to-end adjacency reconstruction",
@@ -51,6 +54,21 @@ def record_decode() -> dict:
             / sum(r.packed_seconds for r in results),
             2,
         ),
+        "plan_batch": {
+            "unit": "seconds to build one window's traversal plans",
+            "baseline": "scalar per-node builder "
+                        "(repro.traversal.context.build_node_plan)",
+            "candidate": "one vectorized batch over the resident decode "
+                         "state (build_node_plans)",
+            "window": PLAN_BENCH_WINDOW,
+            "results": [r.as_row() for r in plans],
+            "min_speedup": round(min(r.speedup for r in plans), 2),
+            "aggregate_speedup": round(
+                sum(r.scalar_seconds for r in plans)
+                / sum(r.batch_seconds for r in plans),
+                2,
+            ),
+        },
     }
 
 

@@ -14,10 +14,18 @@ then reconstruct every adjacency list end-to-end through
 
 asserting the outputs identical and reporting edges/second for both.  Each
 path is timed as best-of-``repeats`` to suppress scheduler noise.
+
+A second row measures what a plan-cache miss pays: the traversal plans of
+one :data:`PLAN_BENCH_WINDOW`-node frontier window built in one vectorized
+batch (:func:`~repro.traversal.context.build_node_plans`, over the graph's
+resident decode state) against the scalar per-node builder
+(:func:`~repro.traversal.context.build_node_plan`), plans asserted equal.
 """
 
 from __future__ import annotations
 
+import random
+import time
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -25,13 +33,14 @@ from repro.bench.harness import best_of
 from repro.compression.cgr import CGRConfig, CGRGraph
 from repro.compression.reference import NaiveCGRDecoder
 from repro.graph.datasets import load_dataset
+from repro.traversal.context import build_node_plan, build_node_plans
 
 #: The Table-1-style synthetic families the gate sweeps: two web crawls
 #: (interval-heavy) and a social network (residual-heavy).
 DECODE_BENCH_DATASETS: tuple[str, ...] = ("uk-2002", "uk-2007", "twitter")
 
 #: Node count the gate runs at.  Large enough that the vectorized decode's
-#: per-graph setup (bit unpacking, next-one table, word fold) amortizes the
+#: per-graph setup (bit unpacking, zero-run table, word fold) amortizes the
 #: way it would on the paper's real datasets.
 DECODE_BENCH_SCALE = 4000
 
@@ -118,10 +127,102 @@ def run_decode_benchmark(
     ]
 
 
+#: Nodes per batched-plan measurement: eight warp chunks, the frontier
+#: window the engine batch-decodes (``PLAN_WINDOW_CHUNKS`` in
+#: :mod:`repro.traversal.gcgt`).
+PLAN_BENCH_WINDOW = 256
+
+
+@dataclass(frozen=True)
+class PlanBenchResult:
+    """One dataset's plan-build time for one window, batched vs scalar."""
+
+    dataset: str
+    nodes: int
+    window: int
+    batch_seconds: float
+    scalar_seconds: float
+    #: Resident decode state (fold, zero-run table, offsets) per bit of
+    #: the compressed stream, and the seconds to build it once per graph.
+    state_bytes_per_bit: float
+    state_seconds: float
+
+    @property
+    def speedup(self) -> float:
+        """How many times faster the batch builds the window's plans."""
+        return self.scalar_seconds / self.batch_seconds
+
+    def as_row(self) -> dict:
+        """A JSON-ready row (dataclass fields plus the speedup)."""
+        row = asdict(self)
+        for key in ("batch_seconds", "scalar_seconds", "state_seconds"):
+            row[key] = round(row[key], 6)
+        row["state_bytes_per_bit"] = round(self.state_bytes_per_bit, 3)
+        row["speedup"] = round(self.speedup, 2)
+        return row
+
+
+def measure_plan_batch(
+    name: str,
+    scale: int = DECODE_BENCH_SCALE,
+    window: int = PLAN_BENCH_WINDOW,
+    config: CGRConfig | None = None,
+    repeats: int = 5,
+) -> PlanBenchResult:
+    """Time one random ``window``-node set's plans, batched and scalar.
+
+    The two builders alternate round by round (best of ``repeats`` each),
+    so a change of host speed hits both alike.  Raises
+    :class:`AssertionError` if any plan differs.
+    """
+    graph = load_dataset(name, scale)
+    cgr = CGRGraph.from_adjacency(graph.adjacency(), config)
+    nodes = random.Random(window).sample(range(cgr.num_nodes), window)
+    began = time.perf_counter()
+    state = cgr.layout_decoder()
+    state_seconds = time.perf_counter() - began
+    batch_seconds = scalar_seconds = float("inf")
+    for _ in range(repeats):
+        seconds, batch = best_of(1, lambda: build_node_plans(cgr, nodes))
+        batch_seconds = min(batch_seconds, seconds)
+        seconds, scalar = best_of(
+            1, lambda: [build_node_plan(cgr, node) for node in nodes]
+        )
+        scalar_seconds = min(scalar_seconds, seconds)
+        assert batch == scalar, (
+            f"batched and scalar plans disagree on dataset {name!r}"
+        )
+    return PlanBenchResult(
+        dataset=name,
+        nodes=cgr.num_nodes,
+        window=window,
+        batch_seconds=batch_seconds,
+        scalar_seconds=scalar_seconds,
+        state_bytes_per_bit=state.nbytes / cgr.total_bits,
+        state_seconds=state_seconds,
+    )
+
+
+def run_plan_batch_benchmark(
+    datasets: Sequence[str] = DECODE_BENCH_DATASETS,
+    scale: int = DECODE_BENCH_SCALE,
+    window: int = PLAN_BENCH_WINDOW,
+) -> list[PlanBenchResult]:
+    """Measure every dataset's batched-plan row, in order."""
+    return [
+        measure_plan_batch(name, scale=scale, window=window)
+        for name in datasets
+    ]
+
+
 __all__ = [
     "DECODE_BENCH_DATASETS",
     "DECODE_BENCH_SCALE",
     "DecodeBenchResult",
+    "PLAN_BENCH_WINDOW",
+    "PlanBenchResult",
     "measure_dataset",
+    "measure_plan_batch",
     "run_decode_benchmark",
+    "run_plan_batch_benchmark",
 ]

@@ -189,6 +189,7 @@ class CGRGraph:
         # Hot-path decode reads one offset per node; plain-int lookups are
         # several times cheaper than numpy scalar extraction.
         self._offsets_list: list[int] = [int(v) for v in offsets]
+        self._layout_decoder = None
 
     # -- construction -------------------------------------------------------
 
@@ -236,6 +237,23 @@ class CGRGraph:
         """A bit reader positioned at ``bitStart[node]``."""
         self._check_node(node)
         return BitReader(self.bits, int(self.offsets[node]))
+
+    def layout_decoder(self):
+        """The stream's vectorized decode state, built on first use.
+
+        A :class:`~repro.compression.vectorized.LayoutDecoder` (about two
+        bytes per compressed bit), kept for the graph's lifetime: subset
+        decodes such as a frontier window's plan-cache misses are too small
+        to amortise its construction.  The stream never changes after
+        encoding, so the state never goes stale.  Raises
+        :class:`~repro.compression.vectorized.VectorizedDecodeUnsupported`
+        for schemes without a vectorized path.
+        """
+        if self._layout_decoder is None:
+            from repro.compression.vectorized import LayoutDecoder
+
+            self._layout_decoder = LayoutDecoder(self)
+        return self._layout_decoder
 
     def node_bit_length(self, node: int) -> int:
         """Number of bits the compressed adjacency list of ``node`` occupies."""

@@ -36,7 +36,7 @@ so a stale plan can never be served even if explicit invalidation is skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.compression.bitarray import BitReader, BitWriter, PackedBits
 from repro.compression.cgr import CGRGraph, encode_node_adjacency
@@ -54,6 +54,7 @@ from repro.traversal.context import (
     NodePlan,
     ResidualSegmentPlan,
     build_node_plan as build_structural_plan,
+    build_node_plans as build_structural_plans,
 )
 
 
@@ -358,6 +359,24 @@ class DeltaOverlay:
             plan.residual_segments.append(segment)
             plan.degree += segment.count
         return plan
+
+    def build_node_plans(self, nodes: Sequence[int]) -> list[NodePlan]:
+        """Merged plans of ``nodes``, equal to :meth:`build_node_plan` each.
+
+        Clean nodes still on the base stream are decoded together in one
+        vectorized walk (:func:`~repro.traversal.context.build_node_plans`
+        over :attr:`base`); dirty nodes and side-stream extents take
+        :meth:`build_node_plan`.
+        """
+        on_base = [
+            node for node in nodes
+            if node not in self._deltas and node not in self._extents
+        ]
+        batched = dict(zip(on_base, build_structural_plans(self.base, on_base)))
+        return [
+            batched[node] if node in batched else self.build_node_plan(node)
+            for node in nodes
+        ]
 
     def wrap_filter(self, filter_fn: FilterFn) -> FilterFn:
         """Interpose tombstone suppression before the application filter.

@@ -15,6 +15,15 @@ a lookup whose epoch differs from the cached one drops the stale plan,
 counts an *invalidation* and rebuilds.  Static graphs always look up at
 epoch 0, which degenerates to the plain LRU behaviour.
 
+Misses are usually not decoded one at a time.  Before a frontier window
+runs, the engine (:meth:`~repro.traversal.gcgt.GCGTEngine.prefetch_plans`)
+decodes in one vectorized batch the plans the window's lookups will miss.
+Each such lookup then receives its plan from ``build`` and is told its share
+of the batch time (``decode_ns``).  The cache itself is unchanged:
+lookups arrive in the same order, hit and miss as they would without the
+batch, and ``miss_decode_ns`` and the ``decode_miss`` events still add up
+to the decode time actually spent.
+
 The *simulated* decode cost the strategies charge is unaffected: plans only
 describe where the bits are; every strategy still charges the warp for the
 decode rounds it would execute on hardware.  What the cache saves is real
@@ -100,7 +109,11 @@ class DecodedAdjacencyCache:
     # -- PlanCache protocol ---------------------------------------------------
 
     def lookup(
-        self, node: int, build: Callable[[], NodePlan], epoch: int = 0
+        self,
+        node: int,
+        build: Callable[[], NodePlan],
+        epoch: int = 0,
+        decode_ns: int = 0,
     ) -> NodePlan:
         """The plan for ``node`` at ``epoch``, building and inserting on a miss.
 
@@ -108,6 +121,12 @@ class DecodedAdjacencyCache:
         since it was decoded -- so it is dropped (counted as an
         invalidation), rebuilt via ``build`` and re-inserted under the new
         epoch.
+
+        ``decode_ns`` is decode time already spent on the plan ``build``
+        returns -- the node's share of a batch decode, when the engine
+        decoded a frontier window's misses together and ``build`` just hands
+        the plan over.  A miss charges it with ``build``'s own time, to
+        ``miss_decode_ns`` and to the ``decode_miss`` event alike.
 
         A ``build`` that raises counts as a *build failure*, not a miss (no
         plan was produced or inserted, so counting a miss would skew
@@ -128,10 +147,10 @@ class DecodedAdjacencyCache:
         try:
             plan = build()
         except BaseException:
-            self.miss_decode_ns += time.perf_counter_ns() - began
+            self.miss_decode_ns += time.perf_counter_ns() - began + decode_ns
             self.build_failures += 1
             raise
-        elapsed = time.perf_counter_ns() - began
+        elapsed = time.perf_counter_ns() - began + decode_ns
         self.miss_decode_ns += elapsed
         self.misses += 1
         tracer = self.tracer

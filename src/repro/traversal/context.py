@@ -15,12 +15,16 @@ provides the three cost-accounted building blocks the paper's step diagrams
 :func:`build_node_plan` performs the structural decode shared by all
 strategies: where a node's intervals are and where each residual segment
 starts, together with the bit extents needed for memory accounting.
+:func:`build_node_plans` builds the same plans for many nodes from one
+vectorized layout walk; the scalar builder stays its test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.compression.cgr import CGRGraph
 from repro.compression.gaps import gap_decode_vlc_run
@@ -133,6 +137,77 @@ def build_node_plan(graph: CGRGraph, node: int) -> NodePlan:
     return plan
 
 
+def build_node_plans(graph: CGRGraph, nodes: Sequence[int]) -> list[NodePlan]:
+    """Structural plans of ``nodes`` from one vectorized layout walk.
+
+    Element-wise equal to ``[build_node_plan(graph, node) for node in
+    nodes]`` -- intervals, descriptor extents, header extent, segments,
+    count fields and every residual's ``(neighbor, start, bits)`` replay
+    tuple -- but the codes of all nodes are decoded together
+    (:meth:`repro.compression.vectorized.LayoutDecoder.walk` over the
+    graph's resident
+    :meth:`~repro.compression.cgr.CGRGraph.layout_decoder`), so the
+    per-node cost is the Python object assembly, not a cursor walk.
+    Raises :class:`~repro.compression.vectorized.VectorizedDecodeUnsupported`
+    for streams without a vectorized path (delta codes, overlay side
+    streams).
+    """
+    walk = graph.layout_decoder().walk(np.asarray(nodes, dtype=np.int64), True)
+    # Every object is built in one flat pass per kind (C-level ``map`` /
+    # ``zip``); the per-node loop only slices the flat lists.
+    replay = list(zip(
+        walk.residual_ids.tolist(),
+        walk.residual_starts.tolist(),
+        (walk.residual_ends - walk.residual_starts).tolist(),
+    ))
+    res_bounds = np.cumsum(walk.run_counts).tolist()
+    segments = list(map(
+        ResidualSegmentPlan,
+        walk.run_data_start.tolist(),
+        walk.run_counts.tolist(),
+        walk.run_count_bits.tolist(),
+        [
+            tuple(replay[begin:end])
+            for begin, end in zip([0] + res_bounds, res_bounds)
+        ],
+    ))
+    intervals = list(map(
+        Interval, walk.interval_starts.tolist(), walk.interval_lengths.tolist()
+    ))
+    descriptors = list(zip(
+        walk.descriptor_start.tolist(),
+        (walk.descriptor_end - walk.descriptor_start).tolist(),
+    ))
+    if walk.degrees is not None:
+        degrees = walk.degrees
+    else:
+        owners = np.arange(len(walk.nodes))
+        degrees = np.bincount(
+            np.repeat(owners, walk.interval_counts),
+            weights=walk.interval_lengths, minlength=len(owners),
+        ) + np.bincount(
+            np.repeat(owners, walk.run_counts_per_node),
+            weights=walk.run_counts, minlength=len(owners),
+        )
+    itv_bounds = np.cumsum(walk.interval_counts).tolist()
+    run_bounds = np.cumsum(walk.run_counts_per_node).tolist()
+    return [
+        NodePlan(
+            node, degree,
+            intervals[itv_begin:itv_end], descriptors[itv_begin:itv_end],
+            header_start, header_bits, segments[run_begin:run_end],
+        )
+        for node, degree, header_start, header_bits,
+        itv_begin, itv_end, run_begin, run_end in zip(
+            walk.nodes.tolist(),
+            degrees.astype(np.int64).tolist(),
+            walk.header_start.tolist(),
+            (walk.header_end - walk.header_start).tolist(),
+            [0] + itv_bounds, itv_bounds, [0] + run_bounds, run_bounds,
+        )
+    ]
+
+
 def _predecode_residual_run(
     cursor: CGRCursor, source: int, count: int
 ) -> tuple[tuple[int, int, int], ...]:
@@ -203,12 +278,15 @@ class ExpandContext:
         self.warp = warp
         self.filter_fn = filter_fn
         self.out_queue = out_queue
-        self._plan_source = plan_source
+        #: Where :meth:`node_plan` gets plans; ``None`` decodes directly.
+        #: The engine swaps it per frontier window (see
+        #: :meth:`repro.traversal.gcgt.TraversalSession.expand`).
+        self.plan_source = plan_source
 
     def node_plan(self, node: int) -> NodePlan:
         """The structural decode of ``node``, via the plan source when set."""
-        if self._plan_source is not None:
-            return self._plan_source(node)
+        if self.plan_source is not None:
+            return self.plan_source(node)
         return build_node_plan(self.graph, node)
 
     # -- cost-accounted building blocks ---------------------------------------

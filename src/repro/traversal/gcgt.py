@@ -14,15 +14,23 @@ Figure 9 sweeps (Intuitive -> +TwoPhase -> +TaskStealing -> +Warp-centric ->
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol, Sequence
 
 from repro.compression.cgr import CGRConfig, CGRGraph
+from repro.compression.vectorized import supports as batch_decodable
 from repro.gpu.device import GPUDevice
 from repro.gpu.metrics import KernelMetrics
 from repro.graph.graph import Graph
 from repro.traversal.bfs_basic import IntuitiveStrategy
-from repro.traversal.context import ExpandContext, FilterFn, NodePlan, build_node_plan
+from repro.traversal.context import (
+    ExpandContext,
+    FilterFn,
+    NodePlan,
+    build_node_plan,
+    build_node_plans,
+)
 from repro.traversal.frontier import FrontierQueue
 from repro.traversal.segmented import ResidualSegmentationStrategy
 from repro.traversal.strategy import ExpansionStrategy
@@ -97,19 +105,48 @@ STRATEGY_LADDER: dict[str, GCGTConfig] = {
 }
 
 
+#: Warp chunks per frontier window.  Plans a window will miss are decoded
+#: in one vectorized batch before its chunks run: per chunk (32 nodes) the
+#: batch's fixed numpy cost eats the gain, at a few hundred nodes it is
+#: about 2-3x cheaper per node than the scalar builder.
+PLAN_WINDOW_CHUNKS = 8
+
+#: Fewest predicted misses worth a batch decode; smaller sets stay on the
+#: scalar builder, which is as fast there.
+MIN_PLAN_BATCH = 32
+
+#: Plans decoded ahead of their lookups: node -> (plan, nanoseconds of
+#: the batch decode charged to it).
+Prefetched = dict[int, tuple[NodePlan, int]]
+
+
 class PlanCache(Protocol):
     """What an engine needs from a decoded-plan cache (see
     :class:`repro.service.cache.DecodedAdjacencyCache` for the LRU implementation)."""
 
     def lookup(
-        self, node: int, build: Callable[[], NodePlan], epoch: int = 0
+        self,
+        node: int,
+        build: Callable[[], NodePlan],
+        epoch: int = 0,
+        decode_ns: int = 0,
     ) -> NodePlan:
         """Return the cached plan for ``node``, building it on a miss.
 
         ``epoch`` is the node's current mutation epoch (always 0 for static
         graphs); a cached plan from a different epoch is stale and must be
-        rebuilt, never served.
+        rebuilt, never served.  ``decode_ns`` is decode time already spent
+        on ``build``'s plan (its share of a batch decode), charged with the
+        build on a miss.
         """
+        ...  # pragma: no cover - protocol
+
+    def __len__(self) -> int:
+        """Resident plans."""
+        ...  # pragma: no cover - protocol
+
+    def epoch_of(self, node: int) -> int | None:
+        """Epoch of the resident plan of ``node``, or ``None``."""
         ...  # pragma: no cover - protocol
 
 
@@ -167,13 +204,21 @@ class TraversalSession:
         # graphs have no wrap_filter hook and pass the filter through as-is.
         if engine._filter_wrapper is not None:
             filter_fn = engine._filter_wrapper(filter_fn)
-        ctx = ExpandContext(
-            engine.graph, warp, filter_fn, out_queue,
-            plan_source=engine.node_plan,
-        )
-        for begin in range(0, len(frontier), engine.device.warp_size):
-            chunk = list(frontier[begin:begin + engine.device.warp_size])
-            engine.strategy.expand_chunk(ctx, chunk)
+        ctx = ExpandContext(engine.graph, warp, filter_fn, out_queue)
+        warp_size = engine.device.warp_size
+        window = warp_size * PLAN_WINDOW_CHUNKS
+        for window_begin in range(0, len(frontier), window):
+            nodes = frontier[window_begin:window_begin + window]
+            prefetched = engine.prefetch_plans(nodes)
+            if prefetched:
+                ctx.plan_source = (
+                    lambda node: engine.node_plan(node, prefetched)
+                )
+            else:
+                ctx.plan_source = engine.node_plan
+            for begin in range(0, len(nodes), warp_size):
+                chunk = list(nodes[begin:begin + warp_size])
+                engine.strategy.expand_chunk(ctx, chunk)
         iteration_metrics.launches += 1
         self.metrics.merge(iteration_metrics)
         return out_queue.pending
@@ -212,10 +257,15 @@ class GCGTEngine:
         # Dynamic-graph hooks (repro.dynamic.DeltaOverlay) are fixed for the
         # engine's lifetime; resolve them once rather than per node visit --
         # node_plan is the hot path of every traversal.  Plain CGRGraphs
-        # have none, leaving the static fast paths.
-        self._merged_plan_builder = getattr(cgr_graph, "build_node_plan", None)
+        # have none, leaving the static fast paths.  The plan builders are
+        # looked up on the graph at each miss instead, so a wrapper
+        # installed around them (and later removed) never outlives its
+        # removal in an engine built meanwhile.
+        self._merged_plans = hasattr(cgr_graph, "build_node_plan")
         self._node_epoch_of = getattr(cgr_graph, "node_epoch", None)
+        self._is_dirty = getattr(cgr_graph, "is_dirty", None)
         self._filter_wrapper = getattr(cgr_graph, "wrap_filter", None)
+        self._batch_plans = batch_decodable(getattr(cgr_graph, "base", cgr_graph))
         self._default_session = TraversalSession(self)
 
     # -- construction ------------------------------------------------------------
@@ -256,24 +306,81 @@ class GCGTEngine:
         """A fresh per-query traversal session over the resident graph."""
         return TraversalSession(self)
 
-    def node_plan(self, node: int) -> NodePlan:
+    def node_plan(
+        self, node: int, prefetched: Prefetched | None = None
+    ) -> NodePlan:
         """Decode plan of ``node``, served from the plan cache if present.
 
         Graphs that maintain per-node deltas (:class:`repro.dynamic.
         DeltaOverlay`) supply their own merged-plan builder and a per-node
         mutation epoch; plain :class:`~repro.compression.cgr.CGRGraph`
-        objects fall back to the static structural decode at epoch 0.
+        objects fall back to the static structural decode at epoch 0.  A
+        plan in ``prefetched`` (see :meth:`prefetch_plans`) is consumed as
+        the build result, with its share of the batch decode time.
         """
-        merged_builder = self._merged_plan_builder
-        if merged_builder is not None:
-            build: Callable[[], NodePlan] = lambda: merged_builder(node)
+        graph = self.graph
+        decode_ns = 0
+        entry = prefetched.pop(node, None) if prefetched else None
+        if entry is not None:
+            plan, decode_ns = entry
+            build: Callable[[], NodePlan] = lambda: plan
+        elif self._merged_plans:
+            build = lambda: graph.build_node_plan(node)
         else:
-            build = lambda: build_node_plan(self.graph, node)
+            build = lambda: build_node_plan(graph, node)
         if self.plan_cache is not None:
             epoch_of = self._node_epoch_of
             epoch = epoch_of(node) if epoch_of is not None else 0
-            return self.plan_cache.lookup(node, build, epoch)
+            return self.plan_cache.lookup(node, build, epoch, decode_ns)
         return build()
+
+    def prefetch_plans(self, nodes: Sequence[int]) -> Prefetched:
+        """Batch-decode the plans that lookups of ``nodes`` will miss.
+
+        Predicted misses are the distinct nodes whose plan is not resident
+        at their current epoch (every node without a cache), minus dirty
+        overlay nodes, whose merged plans stay on the scalar builder.  When
+        at least :data:`MIN_PLAN_BATCH` remain they are decoded in one
+        vectorized walk and the batch time is split evenly over them, so
+        the misses' ``miss_decode_ns`` sums to it.  Returns ``{}`` -- every
+        lookup builds its own plan -- when the cache holds a plan for every
+        node (the all-hit path pays no per-node pass), when the stream has
+        no vectorized decode, or when the batch decode raises.
+        """
+        cache = self.plan_cache
+        graph = self.graph
+        if (
+            not self._batch_plans
+            or len(nodes) < MIN_PLAN_BATCH
+            or (cache is not None and len(cache) >= graph.num_nodes)
+        ):
+            return {}
+        resident_epoch = cache.epoch_of if cache is not None else (
+            lambda node: None
+        )
+        epoch_of = self._node_epoch_of or (lambda node: 0)
+        is_dirty = self._is_dirty or (lambda node: False)
+        batch = [
+            node for node in dict.fromkeys(nodes)
+            if resident_epoch(node) != epoch_of(node) and not is_dirty(node)
+        ]
+        if len(batch) < MIN_PLAN_BATCH:
+            return {}
+        began = time.perf_counter_ns()
+        try:
+            if self._merged_plans:
+                plans = graph.build_node_plans(batch)
+            else:
+                plans = build_node_plans(graph, batch)
+        except Exception:
+            # Not swallowed: each lookup then runs its own scalar build,
+            # which raises for the node at fault and counts the failure.
+            return {}
+        share, extra = divmod(time.perf_counter_ns() - began, len(batch))
+        return {
+            node: (plan, share + (index < extra))
+            for index, (node, plan) in enumerate(zip(batch, plans))
+        }
 
     # -- traversal (default-session surface, kept for single-query callers) --------
 

@@ -65,11 +65,21 @@ class _UnionFind:
         return True
 
     def labels(self) -> np.ndarray:
-        """Every node's root -- the reference min-id component labels."""
-        return np.array(
-            [self.find(node) for node in range(len(self.parent))],
-            dtype=np.int64,
-        )
+        """Every node's root -- the reference min-id component labels.
+
+        Numpy pointer jumping: ``parent = parent[parent]`` halves every
+        node's distance to its root per pass, so ``log2(depth)`` passes
+        leave each node pointing at its root.  The compressed forest is
+        kept (roots are unchanged, later finds get shorter).
+        """
+        parent = self.parent
+        while True:
+            grandparent = parent[parent]
+            if np.array_equal(grandparent, parent):
+                break
+            parent = grandparent
+        self.parent = parent
+        return parent.copy()
 
 
 class CCView(MaterializedView):

@@ -129,6 +129,42 @@ class TestDecodedAdjacencyCache:
         assert cache.lookup(3, lambda: 99) == 30
         assert cache.hits == 1
 
+    def test_failed_batch_decode_falls_back_to_scalar_builds(
+        self, monkeypatch
+    ):
+        # A frontier window whose batch decode raises leaves every lookup to
+        # its own scalar build; the one node whose scalar build raises too
+        # fails its lookup exactly as above.
+        from repro.compression.cgr import CGRGraph
+        from repro.dynamic import DeltaOverlay
+
+        overlay = DeltaOverlay(
+            CGRGraph.from_adjacency(web_locality_graph(200, seed=4).adjacency())
+        )
+        cache = DecodedAdjacencyCache(256)
+        engine = GCGTEngine(overlay, plan_cache=cache)
+        batches = []
+        scalar_build = DeltaOverlay.build_node_plan
+
+        def failing_batch(self, nodes):
+            batches.append(list(nodes))
+            raise RuntimeError("batch decode failed")
+
+        def failing_build(self, node):
+            if node == 40:
+                raise RuntimeError("decode failed")
+            return scalar_build(self, node)
+
+        monkeypatch.setattr(DeltaOverlay, "build_node_plans", failing_batch)
+        monkeypatch.setattr(DeltaOverlay, "build_node_plan", failing_build)
+        with pytest.raises(RuntimeError, match="^decode failed"):
+            engine.expand(list(range(200)), lambda source, neighbor: False)
+        assert batches and 40 in batches[0]  # the window was batched first
+        assert cache.build_failures == 1
+        assert (cache.hits, cache.misses) == (0, 40)  # nodes 0..39 built
+        assert cache.miss_decode_ns > 0
+        assert 40 not in cache and 39 in cache
+
 
 # ---------------------------------------------------------------------------
 # Registry: encode-once semantics
