@@ -66,10 +66,10 @@ def main() -> None:
     # -- 2. snapshot --------------------------------------------------------
     snapdir = workdir / "uk"
     service.save_graph("uk", snapdir)
-    live_graph = service.registry.resolve("uk").graph
+    live = service.registry.resolve("uk").overlay
     absent = next(
         target for target in range(graph.num_nodes)
-        if target != 42 and not live_graph.has_edge(42, target)
+        if target != 42 and not live.has_edge(42, target)
     )
     service.apply_updates("uk", [EdgeUpdate.insert(42, absent)])
     service.save_graph("uk", snapdir)  # same base file, new delta + manifest

@@ -46,9 +46,9 @@ def personalized_pagerank(
     """Forward-push personalized PageRank from ``source``.
 
     ``degrees`` (the out-degree of every node) is needed to split residuals;
-    when omitted it is measured with one warm-up expansion per frontier, which
-    the engines support but costs extra work -- callers that already hold the
-    graph should pass ``graph.degrees()``.
+    when omitted it is measured afresh by this call with one expansion of
+    every node, which the engines support but costs extra work -- callers
+    that already hold the graph should pass ``graph.degrees()``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -60,9 +60,15 @@ def personalized_pagerank(
 
     estimates = np.zeros(num_nodes, dtype=np.float64)
     residuals = np.zeros(num_nodes, dtype=np.float64)
-    measured_degrees = (
-        np.asarray(degrees, dtype=np.float64) if degrees is not None else None
-    )
+    if degrees is None:
+        degrees = np.zeros(num_nodes, dtype=np.float64)
+
+        def count_neighbor(parent: int, neighbor: int) -> bool:
+            degrees[parent] += 1
+            return False
+
+        engine.expand(list(range(num_nodes)), count_neighbor)
+    degrees = np.asarray(degrees, dtype=np.float64)
 
     residuals[source] = 1.0
     frontier = [source]
@@ -88,11 +94,11 @@ def personalized_pagerank(
             share = shares.get(parent, 0.0)
             if share <= 0.0:
                 return False
-            degree = _degree_of(parent, measured_degrees, engine)
+            degree = float(degrees[parent])
             if degree == 0:
                 return False
             residuals[neighbor] += share / degree
-            threshold = epsilon * max(1.0, _degree_of(neighbor, measured_degrees, engine))
+            threshold = epsilon * max(1.0, float(degrees[neighbor]))
             if residuals[neighbor] >= threshold:
                 next_candidates.add(neighbor)
             return False  # frontier management is done manually below
@@ -108,28 +114,6 @@ def personalized_pagerank(
         iterations=iterations,
         pushes=pushes,
     )
-
-
-#: Cache of lazily measured out-degrees per engine id (fallback path only).
-_DEGREE_CACHE: dict[int, dict[int, int]] = {}
-
-
-def _degree_of(node: int, degrees: np.ndarray | None, engine: FrontierEngine) -> float:
-    """Out-degree of ``node``; measured via one expansion when not provided."""
-    if degrees is not None:
-        return float(degrees[node])
-    cache = _DEGREE_CACHE.setdefault(id(engine), {})
-    if node not in cache:
-        count = 0
-
-        def count_neighbor(parent: int, neighbor: int) -> bool:
-            nonlocal count
-            count += 1
-            return False
-
-        engine.expand([node], count_neighbor)
-        cache[node] = count
-    return float(cache[node])
 
 
 def reference_pagerank(

@@ -471,12 +471,15 @@ class LayoutDecoder:
 
     # -- list output ----------------------------------------------------------
 
-    def decode(self) -> list[list[int]]:
-        """Every node's sorted adjacency list (one walk over all nodes)."""
-        node_count = len(self._offsets) - 1
+    def decode(self, nodes: np.ndarray | None = None) -> list[list[int]]:
+        """The sorted adjacency lists of ``nodes`` (every node by default),
+        in the order given, from one walk."""
+        if nodes is None:
+            nodes = np.arange(len(self._offsets) - 1, dtype=np.int64)
+        node_count = len(nodes)
         if node_count <= 0:
             return []
-        walk = self.walk(np.arange(node_count, dtype=np.int64))
+        walk = self.walk(nodes)
         # Stitch the final adjacency lists.  A node's residuals are already
         # sorted (runs are increasing and segments partition the sorted
         # residual list in order), so interval-free nodes need no sort.

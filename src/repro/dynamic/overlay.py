@@ -38,9 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.compression.bitarray import BitReader, BitWriter, PackedBits
 from repro.compression.cgr import CGRGraph, encode_node_adjacency
 from repro.compression.gaps import to_vlc_value, zigzag_encode
+from repro.compression.vectorized import supports
 from repro.dynamic.compaction import CompactionPolicy
 from repro.dynamic.updates import (
     DELETE,
@@ -330,6 +333,34 @@ class DeltaOverlay:
         for node in range(self.num_nodes):
             yield self.neighbors(node)
 
+    def adjacency(self, nodes: Sequence[int] | None = None) -> list[list[int]]:
+        """Merged sorted adjacency lists of ``nodes`` (every node by
+        default), in the order given.
+
+        Nodes still clean on the base stream are decoded together in one
+        vectorized walk over the base's resident
+        :meth:`~repro.compression.cgr.CGRGraph.layout_decoder`; compacted
+        and dirty nodes take :meth:`neighbors`.  So a whole-topology read
+        caches no clean node's extent set.
+        """
+        if nodes is None:
+            nodes = range(self.num_nodes)
+        on_base = [
+            node for node in nodes
+            if node not in self._deltas and node not in self._extents
+        ]
+        if supports(self.base):
+            lists = self.base.layout_decoder().decode(
+                np.asarray(on_base, dtype=np.int64)
+            )
+        else:
+            lists = [self.base.neighbors(node) for node in on_base]
+        decoded = dict(zip(on_base, lists))
+        return [
+            decoded[node] if node in decoded else self.neighbors(node)
+            for node in nodes
+        ]
+
     def materialize(self):
         """The merged graph as a plain :class:`~repro.graph.graph.Graph`.
 
@@ -338,7 +369,7 @@ class DeltaOverlay:
         """
         from repro.graph.graph import Graph
 
-        return Graph(list(self.iter_adjacency()))
+        return Graph(self.adjacency())
 
     # -- engine hooks ----------------------------------------------------------
 

@@ -39,6 +39,7 @@ from repro.lifecycle.retention import (
     RetentionPolicy,
     collect_garbage,
 )
+from repro.obs.metrics import Bindings
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,16 @@ class MaintenanceScheduler:
         self.total_snapshots = 0
         self.total_gc_passes = 0
         self.total_gc_deleted = 0
+        #: This scheduler's callback-backed instruments, frozen at close.
+        self._metric_bindings = Bindings()
         self._bind_metrics()
+
+    def close(self) -> None:
+        """Pin this scheduler's instruments at their final values,
+        breaking the scheduler -> registry -> callback -> scheduler cycle
+        (:meth:`~repro.service.TraversalService.close` calls it);
+        idempotent."""
+        self._metric_bindings.freeze()
 
     def _bind_metrics(self) -> None:
         """Register maintenance instruments on the service's registry.
@@ -146,36 +156,35 @@ class MaintenanceScheduler:
         idempotent (the metrics registry returns existing instruments).
         """
         metrics = self.service.telemetry.metrics
-        metrics.counter(
+        bind = self._metric_bindings.bind
+        bind(metrics.counter(
             "maintenance_ticks_total",
             "Maintenance ticks executed.",
-        ).set_function(lambda: self.ticks)
-        metrics.counter(
+        ), lambda: self.ticks)
+        bind(metrics.counter(
             "maintenance_compactions_total",
             "Per-node delta folds performed by maintenance ticks.",
-        ).set_function(lambda: self.total_compactions)
-        metrics.counter(
+        ), lambda: self.total_compactions)
+        bind(metrics.counter(
             "maintenance_rebases_total",
             "Overlay-to-base rebases performed by maintenance ticks.",
-        ).set_function(lambda: self.total_rebases)
-        metrics.counter(
+        ), lambda: self.total_rebases)
+        bind(metrics.counter(
             "maintenance_snapshots_total",
             "Snapshots published by the maintenance snapshot step.",
-        ).set_function(lambda: self.total_snapshots)
-        metrics.counter(
+        ), lambda: self.total_snapshots)
+        bind(metrics.counter(
             "maintenance_gc_deleted_total",
             "Files deleted by maintenance retention passes.",
-        ).set_function(lambda: self.total_gc_deleted)
-        metrics.gauge(
+        ), lambda: self.total_gc_deleted)
+        bind(metrics.gauge(
             "maintenance_overlay_garbage_bits",
             "Garbage bits across every resident overlay (rebase pressure).",
-        ).set_function(
-            lambda: sum(
-                overlay.garbage_bits
-                for entry in self.service.registry.entries()
-                for overlay in entry.all_overlays()
-            )
-        )
+        ), lambda: sum(
+            overlay.garbage_bits
+            for entry in self.service.registry.entries()
+            for overlay in entry.all_overlays()
+        ))
 
     def tick(
         self, should_yield: Callable[[], bool] | None = None

@@ -19,6 +19,10 @@ Two registration styles are supported:
   registry reads the very same live counters that ``ServiceStats`` /
   ``ServerStats`` snapshot, so the two surfaces cannot drift and the
   steady-state cost is zero (nothing runs until someone scrapes).
+  Owners bind through :class:`Bindings` and freeze them at close: a
+  callback closing over its owner is a reference cycle (owner -> registry
+  -> callback -> owner), so a closed owner would otherwise stay alive
+  until a full garbage collection.
 
 Instrument and label names follow the Prometheus data model
 (``[a-zA-Z_:][a-zA-Z0-9_:]*`` for metric names); re-registering the same
@@ -103,6 +107,18 @@ class Instrument:
             )
         return rendered
 
+    def freeze(self, source: Callable[[], float], **labels: Any) -> None:
+        """Pin a callback-backed labelset at ``source``'s current value.
+
+        A no-op when the labelset is no longer bound to ``source`` (another
+        owner rebound it since).
+        """
+        key = self._key(labels)
+        value = float(source())
+        with self._lock:
+            if self._slots.get(key) is source:
+                self._slots[key] = value
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"{type(self).__name__}({self.name!r}, "
@@ -177,6 +193,34 @@ class Gauge(Instrument):
         with self._lock:
             current = self._slots.get(key, 0.0)
         return float(current()) if callable(current) else float(current)
+
+
+class Bindings:
+    """The callback-backed labelsets one owner bound, frozen at its close.
+
+    :meth:`freeze` pins every labelset at its final value and drops the
+    callbacks, which breaks the owner -> registry -> callback -> owner
+    cycle while scrapes keep reporting the closed owner's totals.
+    """
+
+    def __init__(self) -> None:
+        self._bound: list[tuple[Instrument, dict[str, Any], Callable]] = []
+
+    def bind(
+        self,
+        instrument: "Counter | Gauge",
+        source: Callable[[], float],
+        **labels: Any,
+    ) -> None:
+        """``instrument.set_function(source, **labels)``, remembered."""
+        instrument.set_function(source, **labels)
+        self._bound.append((instrument, labels, source))
+
+    def freeze(self) -> None:
+        """Pin every remembered labelset at its current value; idempotent."""
+        bound, self._bound = self._bound, []
+        for instrument, labels, source in bound:
+            instrument.freeze(source, **labels)
 
 
 class MetricsRegistry:
@@ -266,6 +310,7 @@ class MetricsRegistry:
 
 
 __all__ = [
+    "Bindings",
     "Counter",
     "Gauge",
     "Instrument",

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.service.queries import BFSQuery, CCQuery, PageRankQuery, Query
+from repro.obs.metrics import Bindings
 from repro.obs.telemetry import Telemetry
 from repro.service.service import ServiceStats, TraversalService
 from repro.traversal.msbfs import LANE_WIDTH
@@ -314,6 +315,8 @@ class FrontDoor:
             telemetry if telemetry is not None else Telemetry.disabled()
         )
         self.tracer = self.telemetry.tracer
+        #: The door's callback-backed instruments, frozen at close.
+        self._metric_bindings = Bindings()
         self.tenants = TenantRegistry(
             clock=clock, reservoir_capacity=reservoir_capacity
         )
@@ -367,34 +370,35 @@ class FrontDoor:
         at :meth:`register_tenant`.
         """
         metrics = self.telemetry.metrics
-        metrics.gauge(
+        bind = self._metric_bindings.bind
+        bind(metrics.gauge(
             "frontdoor_queue_depth",
             "Requests waiting in the admission queue.",
-        ).set_function(self.admission.depth)
+        ), self.admission.depth)
         metrics.gauge(
             "frontdoor_queue_capacity",
             "Bound of the admission queue.",
         ).set(float(self.admission.capacity))
-        metrics.counter(
+        bind(metrics.counter(
             "frontdoor_unknown_tenant_rejects_total",
             "Submissions naming no registered tenant.",
-        ).set_function(lambda: self._unknown_tenant_rejects)
-        metrics.counter(
+        ), lambda: self._unknown_tenant_rejects)
+        bind(metrics.counter(
             "frontdoor_coalesced_groups_total",
             "Dispatch groups that packed more than one BFS request.",
-        ).set_function(lambda: self._coalesced_groups)
-        metrics.counter(
+        ), lambda: self._coalesced_groups)
+        bind(metrics.counter(
             "frontdoor_coalesced_requests_total",
             "Requests carried by coalesced dispatch groups.",
-        ).set_function(lambda: self._coalesced_requests)
-        metrics.counter(
+        ), lambda: self._coalesced_requests)
+        bind(metrics.counter(
             "frontdoor_maintenance_ticks_total",
             "Maintenance ticks run by idle dispatchers.",
-        ).set_function(lambda: self._maintenance_ticks)
-        metrics.counter(
+        ), lambda: self._maintenance_ticks)
+        bind(metrics.counter(
             "frontdoor_maintenance_errors_total",
             "Maintenance ticks that raised and were contained.",
-        ).set_function(lambda: self._maintenance_errors)
+        ), lambda: self._maintenance_errors)
         self._ema_gauge = metrics.gauge(
             "frontdoor_exec_ema_seconds",
             "EMA of fresh execution seconds per query kind -- the "
@@ -411,6 +415,7 @@ class FrontDoor:
         built from, so the two surfaces cannot drift.
         """
         metrics = self.telemetry.metrics
+        bind = self._metric_bindings.bind
         counters = state.counters
         reservoir = state.reservoir
         outcomes = metrics.counter(
@@ -419,35 +424,37 @@ class FrontDoor:
             labels=("tenant", "outcome"),
         )
         for outcome in OUTCOMES:
-            outcomes.set_function(
+            bind(
+                outcomes,
                 (lambda name: lambda: getattr(counters, name))(outcome),
                 tenant=state.name, outcome=outcome,
             )
-        metrics.counter(
+        bind(metrics.counter(
             "frontdoor_quota_used_total",
             "Admission units charged against the tenant quota.",
             labels=("tenant",),
-        ).set_function(lambda: counters.quota_used, tenant=state.name)
-        metrics.gauge(
+        ), lambda: counters.quota_used, tenant=state.name)
+        bind(metrics.gauge(
             "frontdoor_tenant_tokens",
             "Tokens currently available in the tenant's bucket.",
             labels=("tenant",),
-        ).set_function(lambda: state.bucket.tokens, tenant=state.name)
+        ), lambda: state.bucket.tokens, tenant=state.name)
         quantiles = metrics.gauge(
             "frontdoor_latency_quantile_seconds",
             "Answered-request latency quantiles over the reservoir window.",
             labels=("tenant", "quantile"),
         )
         for quantile in (0.5, 0.95, 0.99):
-            quantiles.set_function(
+            bind(
+                quantiles,
                 (lambda q: lambda: reservoir.percentile(q))(quantile),
                 tenant=state.name, quantile=f"{quantile:g}",
             )
-        metrics.counter(
+        bind(metrics.counter(
             "frontdoor_latency_observations_total",
             "Answered-request latency observations ever recorded.",
             labels=("tenant",),
-        ).set_function(lambda: reservoir.count, tenant=state.name)
+        ), lambda: reservoir.count, tenant=state.name)
 
     # -- tenant management -----------------------------------------------------
 
@@ -1007,8 +1014,10 @@ class FrontDoor:
 
         Queued-but-undispatched requests complete ``rejected`` with reason
         ``"shutdown"``; dispatcher threads are joined up to ``timeout``
-        seconds each.  The underlying service is left open (the front door
-        does not own it).  Idempotent.
+        seconds each, then the door's instruments are pinned at their final
+        values, which frees a closed door without waiting for a full
+        garbage collection.  The underlying service is left open (the front
+        door does not own it).  Idempotent.
         """
         with self._lock:
             if self._closing:
@@ -1021,6 +1030,7 @@ class FrontDoor:
             ))
         for thread in self._dispatchers:
             thread.join(timeout=timeout)
+        self._metric_bindings.freeze()
 
     def __enter__(self) -> "FrontDoor":
         return self

@@ -1,9 +1,12 @@
 """The graph registry: named graphs encoded once, served through delta overlays.
 
 Registering a graph pays the expensive host-side work exactly once: the CGR
-encode (the frozen base the dynamic overlay wraps), the CSR build (the
-uncompressed side-by-side form baselines and exact-answer paths read), and
-the engine construction that loads the graph into simulated device memory.
+encode (the frozen base the dynamic overlay wraps) and the engine
+construction that loads the graph into simulated device memory.  The
+serving state -- the entry's delta overlay, or its shards' overlays behind
+the shard executor -- is the only resident copy of the topology: every
+whole-graph read (the CSR form, the undirected sibling's build, view
+rebuilds) decodes it on demand.
 Entries are keyed by ``(name, GCGTConfig)`` -- the full engine configuration,
 not just the encoding part, so two ladder rungs that share an encoding but
 schedule differently get their own engines -- and the same (name, config)
@@ -64,12 +67,10 @@ RegistryKey = tuple[str, GCGTConfig]
 
 @dataclass
 class RegisteredGraph:
-    """One resident graph: raw container, encodings, overlay, engine, cache.
+    """One resident graph: encodings, overlay, engine, cache.
 
     Attributes:
         name: the name queries address the graph by.
-        graph: the uncompressed container, kept in sync with applied updates
-            (it is the from-scratch reference the differential tests encode).
         config: the full engine configuration this entry was built with.
         cgr: the frozen base encode (``None`` for sharded entries, whose
             per-shard bases live inside ``sharded``).
@@ -87,7 +88,6 @@ class RegisteredGraph:
     """
 
     name: str
-    graph: Graph
     config: GCGTConfig
     cgr: CGRGraph | None
     overlay: DeltaOverlay | None
@@ -104,21 +104,19 @@ class RegisteredGraph:
     base_generation: int = 0
     #: The symmetrised sibling used by CC queries, built on first use.
     undirected: "RegisteredGraph | None" = field(default=None, repr=False)
-    #: Lazily (re)built CSR; dropped whenever an update batch lands.
-    _csr: CSRGraph | None = field(default=None, repr=False)
-    #: The graph exactly as first registered, before any update batch --
-    #: what duplicate-name registration offers are compared against, so an
-    #: idempotent re-register of the original snapshot stays a no-op even
-    #: after updates have moved ``graph`` on (``None`` only on entries
-    #: built by internal paths that never face registration offers).
+    #: The caller's graph exactly as first registered, before any update
+    #: batch -- what duplicate-name registration offers are compared
+    #: against first, so an idempotent re-register of the original snapshot
+    #: stays a no-op even after updates have moved the entry on (``None``
+    #: on entries built by internal paths that never face registration
+    #: offers).
     registered_graph: Graph | None = field(default=None, repr=False)
 
     @property
     def csr(self) -> CSRGraph:
-        """The uncompressed CSR form, rebuilt on demand after updates."""
-        if self._csr is None:
-            self._csr = CSRGraph.from_graph(self.graph)
-        return self._csr
+        """The uncompressed CSR form of the live topology, built on demand
+        from the serving state (nothing is kept between calls)."""
+        return CSRGraph.from_adjacency(self.adjacency())
 
     @property
     def is_sharded(self) -> bool:
@@ -128,7 +126,10 @@ class RegisteredGraph:
     @property
     def num_nodes(self) -> int:
         """Number of nodes in the resident graph."""
-        return self.graph.num_nodes
+        if self.executor is not None:
+            return self.executor.num_nodes
+        assert self.overlay is not None
+        return self.overlay.num_nodes
 
     @property
     def num_edges(self) -> int:
@@ -162,6 +163,23 @@ class RegisteredGraph:
             return self.executor.bits_per_edge
         assert self.overlay is not None
         return self.overlay.bits_per_edge
+
+    def adjacency(self) -> list[list[int]]:
+        """Every node's live sorted adjacency list, decoded from the
+        serving state (off the shard exchange ledger)."""
+        if self.executor is not None:
+            return self.executor.adjacency()
+        assert self.overlay is not None
+        return self.overlay.adjacency()
+
+    def has_edges(self, pairs: list[tuple[int, int]]) -> list[bool]:
+        """Whether each ``(source, target)`` edge is live, read from the
+        serving state (off the shard exchange ledger)."""
+        if self.executor is not None:
+            lists = self.executor.read_adjacency(source for source, _ in pairs)
+            return [target in lists[source] for source, target in pairs]
+        assert self.overlay is not None
+        return [self.overlay.has_edge(source, target) for source, target in pairs]
 
     def all_plan_caches(self) -> list[DecodedAdjacencyCache]:
         """Every decoded-plan cache backing this entry (one per shard for
@@ -303,16 +321,22 @@ class GraphRegistry:
         """Raise :class:`ValueError` when ``graph`` matches neither the
         originally registered topology of ``name`` nor its current live
         topology -- so idempotent re-registration of the original snapshot
-        stays a no-op even after update batches have moved the entry on."""
+        stays a no-op even after update batches have moved the entry on.
+        The live topology is decoded from the serving state only when the
+        sizes agree."""
         original = entry.registered_graph
         if original is not None and (graph is original or graph == original):
             return
-        if graph is entry.graph or graph == entry.graph:
+        if (
+            graph.num_nodes == entry.num_nodes
+            and graph.num_edges == entry.num_edges
+            and graph.adjacency() == entry.adjacency()
+        ):
             return
         raise ValueError(
             f"graph name {name!r} is already registered with a different "
-            f"topology ({entry.graph.num_nodes} nodes / "
-            f"{entry.graph.num_edges} edges resident vs {graph.num_nodes} "
+            f"topology ({entry.num_nodes} nodes / "
+            f"{entry.num_edges} edges resident vs {graph.num_nodes} "
             f"nodes / {graph.num_edges} edges offered); use replace() to "
             "swap the resident graph or register under a new name"
         )
@@ -419,13 +443,11 @@ class GraphRegistry:
         self.encode_calls += 1
         return RegisteredGraph(
             name=name,
-            graph=graph,
             config=config,
             cgr=cgr,
             overlay=overlay,
             engine=engine,
             plan_cache=plan_cache,
-            _csr=CSRGraph.from_graph(graph),
         )
 
     def _encode_sharded(
@@ -463,7 +485,6 @@ class GraphRegistry:
         self.encode_calls += sharded.num_shards
         return RegisteredGraph(
             name=name,
-            graph=graph,
             config=config,
             cgr=None,
             overlay=None,
@@ -473,7 +494,6 @@ class GraphRegistry:
             executor=executor,
             shards=shards,
             partitioner=partitioner,
-            _csr=CSRGraph.from_graph(graph),
         )
 
     # -- updates --------------------------------------------------------------
@@ -536,7 +556,7 @@ class GraphRegistry:
             graph_epoch=representative.epoch,
             applied=tuple(total.applied),
             mirror_applied=tuple(
-                self._mirror_batch(total.applied, representative.graph)
+                self._mirror_batch(total.applied, representative)
             ),
             touched_nodes=frozenset(total.touched_nodes),
         )
@@ -546,60 +566,51 @@ class GraphRegistry:
     def _apply_to_entry(
         self, entry: RegisteredGraph, batch: list[EdgeUpdate]
     ) -> UpdateStats:
-        """One entry's share of a batch: overlay, container, sibling, cache.
+        """One entry's share of a batch: the entry, then its sibling."""
+        stats = self._absorb(entry, batch)
+        if entry.undirected is not None and stats.changed:
+            mirror = self._mirror_batch(stats.applied, entry)
+            stats.compactions += self._absorb(entry.undirected, mirror).compactions
+        return stats
+
+    @staticmethod
+    def _absorb(entry: RegisteredGraph, batch: list[EdgeUpdate]) -> UpdateStats:
+        """Apply a batch to one entry's overlay and invalidate the touched
+        nodes' plans.
 
         Sharded entries route the batch through their executor, which splits
         it by owner shard, applies each sub-batch to that shard's overlay and
         invalidates the touched nodes in that shard's plan cache.
         """
         if entry.executor is not None:
-            stats = entry.executor.apply_updates(batch)
-        else:
-            assert entry.overlay is not None and entry.plan_cache is not None
-            stats = entry.overlay.apply(batch)
-            for node in stats.touched_nodes:
-                entry.plan_cache.invalidate(node)
-        if stats.changed:
-            entry.graph = entry.graph.with_edge_updates(stats.applied)
-            entry._csr = None
-        if entry.undirected is not None and stats.changed:
-            mirror = self._mirror_batch(stats.applied, entry.graph)
-            sibling = entry.undirected
-            if sibling.executor is not None:
-                mirror_stats = sibling.executor.apply_updates(mirror)
-            else:
-                assert sibling.overlay is not None and sibling.plan_cache is not None
-                mirror_stats = sibling.overlay.apply(mirror)
-                for node in mirror_stats.touched_nodes:
-                    sibling.plan_cache.invalidate(node)
-            if mirror_stats.changed:
-                entry.undirected.graph = entry.undirected.graph.with_edge_updates(
-                    mirror_stats.applied
-                )
-                entry.undirected._csr = None
-            stats.compactions += mirror_stats.compactions
+            return entry.executor.apply_updates(batch)
+        assert entry.overlay is not None and entry.plan_cache is not None
+        stats = entry.overlay.apply(batch)
+        for node in stats.touched_nodes:
+            entry.plan_cache.invalidate(node)
         return stats
 
     @staticmethod
     def _mirror_batch(
-        applied: list[EdgeUpdate], directed_after: Graph
+        applied: list[EdgeUpdate], directed_after: RegisteredGraph
     ) -> list[EdgeUpdate]:
         """Translate applied directed updates for the undirected sibling.
 
         Inserts always materialise both directions (idempotent when the
         undirected edge already exists).  A delete removes both directions
-        only when the *post-batch* directed graph holds neither direction --
-        if the reverse edge survives, the undirected edge must too.
+        only when the *post-batch* directed entry holds neither direction --
+        if the reverse edge survives, the undirected edge must too.  The
+        reverse edges are read from the entry's serving state in one call.
         """
+        reverse_live = iter(directed_after.has_edges([
+            (update.target, update.source)
+            for update in applied if update.kind != "insert"
+        ]))
         mirror: list[EdgeUpdate] = []
         for update in applied:
-            if update.kind == "insert":
+            if update.kind == "insert" or not next(reverse_live):
                 mirror.append(update)
                 mirror.append(update.reversed)
-            else:
-                if not directed_after.has_edge(update.target, update.source):
-                    mirror.append(update)
-                    mirror.append(update.reversed)
         return mirror
 
     # -- overlay-to-base compaction (rebase) -----------------------------------
@@ -650,9 +661,8 @@ class GraphRegistry:
         assert entry.overlay is not None and entry.plan_cache is not None
         old = entry.overlay
         reclaimed = old.garbage_bits
-        merged = [old.neighbors(node) for node in range(old.num_nodes)]
         cgr = CGRGraph.from_adjacency(
-            merged, entry.config.effective_cgr_config()
+            old.adjacency(), entry.config.effective_cgr_config()
         )
         overlay = DeltaOverlay(cgr, policy=self.compaction_policy)
         overlay.epoch = old.epoch + 1
@@ -788,9 +798,10 @@ class GraphRegistry:
     def undirected_variant(self, entry: RegisteredGraph) -> RegisteredGraph:
         """The symmetrised sibling of ``entry``, encoded on first use only.
 
-        The sibling symmetrises the entry's *current* graph, so a sibling
-        first requested after update batches starts from the mutated
-        topology; later batches are mirrored onto it incrementally.
+        The sibling symmetrises the entry's *current* topology, decoded
+        from its serving state, so a sibling first requested after update
+        batches starts from the mutated topology; later batches are
+        mirrored onto it incrementally.
         """
         if entry.undirected is None:
             backend = "inline"
@@ -798,7 +809,7 @@ class GraphRegistry:
                 backend = entry.executor.backend
             entry.undirected = self._encode(
                 f"{entry.name}#undirected",
-                entry.graph.to_undirected(),
+                Graph(entry.adjacency()).to_undirected(),
                 entry.config,
                 shards=entry.shards,
                 partitioner=entry.partitioner,
@@ -835,18 +846,22 @@ class GraphRegistry:
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down every sharded entry's executor (worker pools included).
+        """Shut down every sharded entry's executor (worker pools included)
+        and drop the delta-stream subscribers.
 
         Long-lived hosts using the ``"process"`` backend should call this
         (or use :class:`~repro.service.TraversalService` as a context
         manager) when done serving; otherwise each sharded registration's
         single-worker pools -- and the lazily built undirected siblings' --
         outlive their usefulness.  Unsharded entries are unaffected; sharded
-        entries refuse further queries once closed.
+        entries refuse further queries once closed.  Subscribers such as
+        the :class:`~repro.views.ViewManager` hold the registry themselves,
+        so dropping them breaks that cycle; later batches notify no one.
         """
         for entry in self.entries():
             if entry.executor is not None:
                 entry.executor.close()
+        self._subscribers.clear()
 
 
 __all__ = ["GraphRegistry", "RegisteredGraph", "RegistryKey"]

@@ -20,12 +20,15 @@ import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.apps.bc import betweenness_centrality
 from repro.apps.cc import connected_components
 from repro.apps.pagerank import personalized_pagerank
 from repro.dynamic.updates import UpdateStats
 from repro.gpu.device import GPUDevice
 from repro.graph.graph import Graph
+from repro.obs.metrics import Bindings
 from repro.obs.telemetry import Telemetry
 from repro.traversal.gcgt import GCGTConfig
 from repro.traversal.msbfs import LANE_WIDTH, msbfs
@@ -158,6 +161,8 @@ class TraversalService:
         # one consistent overlay epoch per query.  Reentrant: view
         # maintenance runs inside update application.
         self._lock = threading.RLock()
+        #: This service's callback-backed instruments, frozen at close.
+        self._metric_bindings = Bindings()
         self._bind_metrics()
 
     # -- telemetry wiring -----------------------------------------------------
@@ -173,6 +178,7 @@ class TraversalService:
         """
         metrics = self.telemetry.metrics
         registry = self.registry
+        bind = self._metric_bindings.bind
 
         def cache_total(field_name: str) -> Callable[[], int]:
             def total() -> int:
@@ -183,55 +189,53 @@ class TraversalService:
                 )
             return total
 
-        metrics.counter(
+        bind(metrics.counter(
             "service_queries_served_total",
             "Queries answered since service construction.",
-        ).set_function(lambda: self.queries_served)
-        metrics.counter(
+        ), lambda: self.queries_served)
+        bind(metrics.counter(
             "service_encode_calls_total",
             "Full-graph CGR encodes the registry ever performed.",
-        ).set_function(lambda: registry.encode_calls)
-        metrics.counter(
+        ), lambda: registry.encode_calls)
+        bind(metrics.counter(
             "service_update_batches_total",
             "Edge-update batches absorbed.",
-        ).set_function(lambda: registry.update_batches)
-        metrics.counter(
+        ), lambda: registry.update_batches)
+        bind(metrics.counter(
             "service_edges_inserted_total",
             "Effective edge insertions applied.",
-        ).set_function(lambda: registry.edges_inserted)
-        metrics.counter(
+        ), lambda: registry.edges_inserted)
+        bind(metrics.counter(
             "service_edges_deleted_total",
             "Effective edge deletions applied.",
-        ).set_function(lambda: registry.edges_deleted)
+        ), lambda: registry.edges_deleted)
         cache_events = metrics.counter(
             "service_cache_events_total",
             "Decoded-plan cache events summed over resident entries.",
             labels=("event",),
         )
         for event in ("hits", "misses", "evictions", "invalidations"):
-            cache_events.set_function(cache_total(event), event=event)
-        metrics.counter(
+            bind(cache_events, cache_total(event), event=event)
+        bind(metrics.counter(
             "service_cache_miss_decode_ns_total",
             "Wall-clock nanoseconds spent decoding plans on cache misses.",
-        ).set_function(cache_total("miss_decode_ns"))
-        metrics.counter(
+        ), cache_total("miss_decode_ns"))
+        bind(metrics.counter(
             "service_exchange_volume_total",
             "Scatter-gather messages exchanged by sharded entries.",
-        ).set_function(
-            lambda: sum(
-                entry.executor.exchange_volume
-                for entry in registry.entries()
-                if entry.executor is not None
-            )
-        )
-        metrics.gauge(
+        ), lambda: sum(
+            entry.executor.exchange_volume
+            for entry in registry.entries()
+            if entry.executor is not None
+        ))
+        bind(metrics.gauge(
             "service_graphs_resident",
             "Resident graph entries, undirected siblings included.",
-        ).set_function(lambda: len(registry.entries()))
-        metrics.gauge(
+        ), lambda: len(registry.entries()))
+        bind(metrics.gauge(
             "service_views_resident",
             "Materialized views currently registered.",
-        ).set_function(lambda: len(self.views))
+        ), lambda: len(self.views))
         view_events = metrics.counter(
             "service_view_events_total",
             "Aggregate view-maintenance ledger across all views.",
@@ -241,7 +245,8 @@ class TraversalService:
             "incremental_batches", "skipped_batches",
             "full_recomputes", "stale_serves",
         ):
-            view_events.set_function(
+            bind(
+                view_events,
                 (lambda name: lambda: getattr(
                     self.views.aggregate_stats(), name
                 ))(event),
@@ -835,12 +840,16 @@ class TraversalService:
             kind = "pagerank"
 
             def run(engine):
+                degrees = np.fromiter(
+                    map(len, entry.adjacency()), dtype=np.int64,
+                    count=entry.num_nodes,
+                )
                 return personalized_pagerank(
                     engine,
                     query.source,
                     alpha=query.alpha,
                     epsilon=query.epsilon,
-                    degrees=entry.graph.degrees(),
+                    degrees=degrees,
                     max_iterations=query.max_iterations,
                 )
         else:
@@ -866,7 +875,17 @@ class TraversalService:
 
     def close(self) -> None:
         """Release sharded entries' worker pools (see
-        :meth:`~repro.service.GraphRegistry.close`); idempotent."""
+        :meth:`~repro.service.GraphRegistry.close`); idempotent.
+
+        Also breaks the reference cycles a live service keeps, so a closed
+        service is freed as soon as its last outside reference goes: its
+        instruments (and the maintenance scheduler's) are pinned at their
+        final values and the scheduler is dropped.
+        """
+        if self.maintenance is not None:
+            self.maintenance.close()
+            self.maintenance = None
+        self._metric_bindings.freeze()
         self.registry.close()
 
     def __enter__(self) -> "TraversalService":

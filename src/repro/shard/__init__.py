@@ -8,7 +8,7 @@ bulk-synchronous supersteps:
 
 * :mod:`repro.shard.partition` -- pluggable partitioners (hash, range by
   reordered id, greedy edge-cut balancing) producing a
-  :class:`GraphPartition` with its boundary-edge table;
+  :class:`GraphPartition` with its shard-pair edge counts;
 * :mod:`repro.shard.sharded` -- :class:`ShardedCGRGraph`, one CGR stream per
   shard in the global id space, exposing the single-stream
   :class:`~repro.compression.cgr.CGRGraph` read contract;
@@ -45,7 +45,6 @@ from repro.shard.executor import (
     ShardWorkerError,
 )
 from repro.shard.partition import (
-    BoundaryEdge,
     GraphPartition,
     GreedyEdgeCutPartitioner,
     HashPartitioner,
@@ -58,7 +57,6 @@ from repro.shard.sharded import ShardedCGRGraph
 
 __all__ = [
     "BACKENDS",
-    "BoundaryEdge",
     "GraphPartition",
     "GreedyEdgeCutPartitioner",
     "HashPartitioner",

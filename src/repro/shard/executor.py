@@ -288,6 +288,12 @@ def _shard_adjacency(state: _ShardState, nodes) -> list[list[int]]:
     return [state.overlay.neighbors(node) for node in nodes]
 
 
+def _shard_bulk_adjacency(state: _ShardState, nodes) -> list[list[int]]:
+    """Merged live adjacency of ``nodes`` (all owned by this shard), clean
+    nodes batch-decoded (see :meth:`~repro.dynamic.DeltaOverlay.adjacency`)."""
+    return state.overlay.adjacency(nodes)
+
+
 def _merge_exchange(
     exchanged: list[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -958,9 +964,8 @@ class ShardExecutor:
             )
         old = self._states[shard]
         reclaimed = old.overlay.garbage_bits
-        merged = _shard_adjacency(old, range(old.overlay.num_nodes))
         cgr = CGRGraph.from_adjacency(
-            merged, self.config.effective_cgr_config()
+            old.overlay.adjacency(), self.config.effective_cgr_config()
         )
         overlay = DeltaOverlay(cgr, policy=self.compaction_policy)
         overlay.epoch = old.overlay.epoch + 1
@@ -1015,26 +1020,44 @@ class ShardExecutor:
                 )
         shares = self._open_superstep(node_list)
         with self.tracer.span("superstep", op="gather", nodes=len(node_list)):
-            lists = self._on_shards(_shard_adjacency, shares)
+            merged = self._read_shares(shares)
+        self.exchange_volume += sum(map(len, merged.values()))
+        return merged
+
+    def read_adjacency(self, nodes) -> dict[int, list[int]]:
+        """Live adjacency of ``nodes`` from their owner shards, off the ledger.
+
+        The same owner-shard read as :meth:`gather_adjacency`, for the
+        registry's own bookkeeping (the undirected mirror's reverse-edge
+        test): it counts no superstep and no exchange volume and opens no
+        span, so those counters keep measuring modelled traffic only.
+        """
+        groups = self.partition.split_frontier(list(dict.fromkeys(nodes)))
+        return self._read_shares(
+            {shard: (share,) for shard, share in groups.items()}
+        )
+
+    def _read_shares(self, shares: dict[int, tuple]) -> dict[int, list[int]]:
+        """Each shard's ``(nodes,)`` share read from its overlay, merged."""
+        lists = self._on_shards(_shard_adjacency, shares)
         merged: dict[int, list[int]] = {}
         for shard, (share,) in shares.items():
             merged.update(zip(share, lists[shard]))
-            self.exchange_volume += sum(map(len, lists[shard]))
         return merged
 
     def adjacency(self) -> list[list[int]]:
         """Every node's merged live adjacency (updates applied), node order.
 
-        Each shard reads its owned nodes from its overlay; on the process
-        backend that ships every list back from the workers, so it is a
-        test/checkpoint path, not a serving path.
+        Each shard batch-decodes the nodes it owns.  Like
+        :meth:`read_adjacency` it stays off the exchange ledger; on the
+        process backend every list ships back from the workers.
         """
         owned = {
-            shard: ([int(node) for node in nodes],)
+            shard: (nodes.tolist(),)
             for shard, nodes in enumerate(self.partition.shard_nodes)
         }
         merged: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for shard, lists in self._on_shards(_shard_adjacency, owned).items():
+        for shard, lists in self._on_shards(_shard_bulk_adjacency, owned).items():
             for node, neighbors in zip(owned[shard][0], lists):
                 merged[node] = neighbors
         return merged

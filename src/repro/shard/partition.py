@@ -5,9 +5,10 @@ with its source -- to exactly one shard.  The resulting
 :class:`GraphPartition` is the bookkeeping record the sharded encode
 (:class:`~repro.shard.sharded.ShardedCGRGraph`) and the scatter-gather
 executor (:class:`~repro.shard.executor.ShardExecutor`) share: the
-node-to-shard assignment, the per-shard node lists, and the **boundary-edge
-table** -- every edge whose endpoints live on different shards, which is
-exactly the traffic the frontier exchange between supersteps must carry.
+node-to-shard assignment, the per-shard node lists, and the
+**shard-pair edge counts** -- how many edges run from each shard to each
+other one, which bounds the traffic the frontier exchange between
+supersteps can carry.
 
 Three strategies are provided, mirroring the usual spectrum:
 
@@ -30,6 +31,7 @@ sharded execution tier depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -42,19 +44,9 @@ _HASH_MULTIPLIER = 2654435761
 _HASH_MASK = 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
-class BoundaryEdge:
-    """One edge crossing shards: ``source`` (on ``source_shard``) -> ``target``."""
-
-    source: int
-    target: int
-    source_shard: int
-    target_shard: int
-
-
 @dataclass
 class GraphPartition:
-    """A node-to-shard assignment plus the derived shard/boundary bookkeeping.
+    """A node-to-shard assignment plus the derived shard bookkeeping.
 
     Attributes:
         num_shards: number of shards the graph was split into.
@@ -62,25 +54,36 @@ class GraphPartition:
         shard_nodes: sorted global node ids owned by each shard.
         shard_edge_counts: out-edges stored on each shard (edges live with
             their source node, so every edge is counted exactly once).
-        boundary_edges: the boundary-edge table -- every edge whose source
-            and target live on different shards, in ``(source, target)``
-            order.  This is the frontier-exchange traffic a superstep can
-            cause at most once per edge.
+        crossings: ``(num_shards, num_shards)`` edge counts,
+            ``crossings[s, t]`` being the edges whose source lives on shard
+            ``s`` and whose target lives on shard ``t != s`` (the diagonal
+            is zero).  A superstep can exchange each such edge at most once.
     """
 
     num_shards: int
     assignment: np.ndarray
     shard_nodes: list[np.ndarray] = field(default_factory=list)
     shard_edge_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    boundary_edges: list[BoundaryEdge] = field(default_factory=list)
+    crossings: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.int64))
 
     @classmethod
-    def from_assignment(cls, graph: Graph, assignment: np.ndarray, num_shards: int) -> "GraphPartition":
-        """Derive the shard tables and boundary-edge table from an assignment."""
+    def from_assignment(
+        cls,
+        graph: "Graph | Sequence[Sequence[int]]",
+        assignment: np.ndarray,
+        num_shards: int,
+    ) -> "GraphPartition":
+        """Derive the shard tables and shard-pair edge counts from an
+        assignment.
+
+        ``graph`` is a :class:`~repro.graph.graph.Graph` or its adjacency
+        lists in node order (what a restore reads from the shard overlays).
+        """
+        adjacency = graph.adjacency() if isinstance(graph, Graph) else graph
         assignment = np.asarray(assignment, dtype=np.int64)
-        if len(assignment) != graph.num_nodes:
+        if len(assignment) != len(adjacency):
             raise ValueError(
-                f"assignment length {len(assignment)} != num_nodes {graph.num_nodes}"
+                f"assignment length {len(assignment)} != num_nodes {len(adjacency)}"
             )
         if len(assignment) and (assignment.min() < 0 or assignment.max() >= num_shards):
             raise ValueError(f"assignment values must lie in [0, {num_shards})")
@@ -88,22 +91,22 @@ class GraphPartition:
             np.flatnonzero(assignment == shard).astype(np.int64)
             for shard in range(num_shards)
         ]
-        edge_counts = np.zeros(num_shards, dtype=np.int64)
-        boundary: list[BoundaryEdge] = []
-        for source, target in graph.edges():
-            source_shard = int(assignment[source])
-            edge_counts[source_shard] += 1
-            target_shard = int(assignment[target])
-            if source_shard != target_shard:
-                boundary.append(
-                    BoundaryEdge(source, target, source_shard, target_shard)
-                )
+        degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=len(adjacency))
+        targets = np.fromiter(
+            chain.from_iterable(adjacency), dtype=np.int64, count=int(degrees.sum())
+        )
+        pairs = np.bincount(
+            np.repeat(assignment, degrees) * num_shards + assignment[targets],
+            minlength=num_shards * num_shards,
+        ).reshape(num_shards, num_shards)
+        crossings = pairs.copy()
+        np.fill_diagonal(crossings, 0)
         return cls(
             num_shards=num_shards,
             assignment=assignment,
             shard_nodes=shard_nodes,
-            shard_edge_counts=edge_counts,
-            boundary_edges=boundary,
+            shard_edge_counts=pairs.sum(axis=1),
+            crossings=crossings,
         )
 
     # -- lookups --------------------------------------------------------------
@@ -129,24 +132,20 @@ class GraphPartition:
     @property
     def edge_cut(self) -> int:
         """Number of edges whose endpoints live on different shards."""
-        return len(self.boundary_edges)
-
-    def boundary_edge_set(self) -> set[tuple[int, int]]:
-        """The boundary table as a set of ``(source, target)`` pairs."""
-        return {(edge.source, edge.target) for edge in self.boundary_edges}
+        return int(self.crossings.sum())
 
     def boundary_counts(self) -> dict[tuple[int, int], int]:
-        """Crossing-edge counts per ``(source_shard, target_shard)`` pair."""
-        counts: dict[tuple[int, int], int] = {}
-        for edge in self.boundary_edges:
-            key = (edge.source_shard, edge.target_shard)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        """Crossing-edge counts per ``(source_shard, target_shard)`` pair
+        (pairs without crossing edges omitted)."""
+        return {
+            (int(source), int(target)): int(self.crossings[source, target])
+            for source, target in zip(*np.nonzero(self.crossings))
+        }
 
 
 class Partitioner:
     """Base class: subclasses implement :meth:`assign`; :meth:`partition`
-    derives the full :class:`GraphPartition` with its boundary table."""
+    derives the full :class:`GraphPartition` with its shard-pair counts."""
 
     name = "base"
 
@@ -312,7 +311,6 @@ def get_partitioner(partitioner: "Partitioner | str | None") -> Partitioner:
 
 
 __all__ = [
-    "BoundaryEdge",
     "GraphPartition",
     "GreedyEdgeCutPartitioner",
     "HashPartitioner",

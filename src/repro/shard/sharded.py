@@ -89,36 +89,6 @@ class ShardedCGRGraph:
             shards.append(CGRGraph.from_adjacency(shard_adjacency, config))
         return cls(partition=partition, shards=shards, config=config)
 
-    @classmethod
-    def from_restored(
-        cls,
-        graph: Graph,
-        assignment,
-        shards: Sequence[CGRGraph],
-        config: CGRConfig,
-    ) -> "ShardedCGRGraph":
-        """Rebuild a sharded graph from persisted pieces -- no re-encode.
-
-        The persistent store (:mod:`repro.store`) loads each shard's frozen
-        stream from its graph file and the node-to-shard ``assignment`` from
-        the partition file; this constructor re-derives the partition tables
-        (shard node lists, boundary edges) from the current ``graph`` and
-        wires the loaded shard encodes in unchanged.  The boundary table is
-        recomputed against the *live* topology, which only affects
-        introspection -- execution reads the assignment, and that is
-        restored verbatim.
-        """
-        for index, shard in enumerate(shards):
-            if shard.num_nodes != graph.num_nodes:
-                raise ValueError(
-                    f"shard {index} encodes {shard.num_nodes} nodes, "
-                    f"graph has {graph.num_nodes}"
-                )
-        partition = GraphPartition.from_assignment(
-            graph, assignment, num_shards=len(shards)
-        )
-        return cls(partition=partition, shards=list(shards), config=config)
-
     # -- shard access -------------------------------------------------------
 
     @property

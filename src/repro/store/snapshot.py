@@ -37,12 +37,12 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.compression.cgr import CGRConfig
 from repro.dynamic.compaction import CompactionPolicy
 from repro.dynamic.overlay import DeltaOverlay
 from repro.gpu.device import GPUDevice
-from repro.graph.csr import CSRGraph
-from repro.graph.graph import Graph
 from repro.service.cache import DecodedAdjacencyCache
 from repro.service.registry import RegisteredGraph
 from repro.traversal.gcgt import GCGTConfig, GCGTEngine
@@ -446,21 +446,18 @@ def _restore_unsharded(
     overlay = read_delta_file(
         directory / manifest["delta_files"][0], base, policy=policy
     )
-    graph = overlay.materialize()
     plan_cache = DecodedAdjacencyCache(cache_capacity)
     engine = GCGTEngine(
         overlay, device=device, config=config, plan_cache=plan_cache
     )
     return RegisteredGraph(
         name=manifest["name"],
-        graph=graph,
         config=config,
         cgr=base,
         overlay=overlay,
         engine=engine,
         plan_cache=plan_cache,
         base_generation=manifest["base_generations"][0],
-        _csr=CSRGraph.from_graph(graph),
     )
 
 
@@ -476,6 +473,7 @@ def _restore_sharded(
     # Imported here: repro.shard builds on the service cache module, so a
     # top-level import would be circular.
     from repro.shard.executor import ShardExecutor
+    from repro.shard.partition import GraphPartition
     from repro.shard.sharded import ShardedCGRGraph
 
     assignment, num_shards = read_partition_file(
@@ -493,17 +491,26 @@ def _restore_sharded(
     ):
         base = read_graph_file(directory / base_name)
         _check_encoding(base, config, directory / base_name)
+        if base.num_nodes != len(assignment):
+            raise StoreFormatError(
+                f"{directory / base_name}: shard encodes {base.num_nodes} "
+                f"nodes, the partition assigns {len(assignment)}"
+            )
         shards.append(base)
         overlays.append(
             read_delta_file(directory / delta_name, base, policy=policy)
         )
-    adjacency = [
-        overlays[int(assignment[node])].neighbors(node)
-        for node in range(len(assignment))
-    ]
-    graph = Graph(adjacency)
-    sharded = ShardedCGRGraph.from_restored(
-        graph, assignment, shards, config.effective_cgr_config()
+    # The partition is re-derived, its shard-pair edge counts from the live
+    # topology: one transient read of every shard's owned nodes.
+    adjacency: list[list[int]] = [[] for _ in range(len(assignment))]
+    for shard, overlay in enumerate(overlays):
+        owned = np.flatnonzero(assignment == shard).tolist()
+        for node, neighbors in zip(owned, overlay.adjacency(owned)):
+            adjacency[node] = neighbors
+    sharded = ShardedCGRGraph(
+        GraphPartition.from_assignment(adjacency, assignment, num_shards),
+        shards,
+        config.effective_cgr_config(),
     )
     executor = ShardExecutor(
         sharded,
@@ -517,7 +524,6 @@ def _restore_sharded(
     executor.base_generations = list(manifest["base_generations"])
     return RegisteredGraph(
         name=manifest["name"],
-        graph=graph,
         config=config,
         cgr=None,
         overlay=None,
@@ -527,7 +533,6 @@ def _restore_sharded(
         executor=executor,
         shards=manifest["shards"],
         partitioner=manifest["partitioner"],
-        _csr=CSRGraph.from_graph(graph),
     )
 
 

@@ -14,7 +14,7 @@ view kind shares:
   the value reflects and its staleness in epochs;
 * :class:`GraphContext` -- a view's window onto its (possibly sharded)
   resident graph: adjacency reads from the delta overlay or the owner
-  shards' overlays, full-topology access for rebuilds;
+  shards' overlays, for repairs and whole-topology rebuilds alike;
 * :class:`MaterializedView` -- the abstract contract the concrete views in
   :mod:`repro.views.cc` / :mod:`repro.views.pagerank` /
   :mod:`repro.views.khop` implement.
@@ -25,8 +25,6 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar, Mapping, Sequence
-
-import numpy as np
 
 from repro.dynamic.updates import DeltaRecord
 
@@ -148,13 +146,10 @@ class GraphContext:
         """Live directed edge count of the resident graph."""
         return self.entry.num_edges
 
-    def degrees(self) -> np.ndarray:
-        """Out-degree of every node in the synced container."""
-        return self.entry.graph.degrees()
-
     def full_adjacency(self) -> list[list[int]]:
-        """The whole live topology, for from-scratch rebuilds."""
-        return self.entry.graph.adjacency()
+        """The whole live topology, for from-scratch rebuilds, decoded from
+        the serving state (off the shard exchange ledger)."""
+        return self.entry.adjacency()
 
     def gather_adjacency(self, nodes: Sequence[int]) -> dict[int, list[int]]:
         """Live adjacency of ``nodes``, decoded through the serving state.
@@ -170,10 +165,6 @@ class GraphContext:
             return entry.executor.gather_adjacency(node_list)
         assert entry.overlay is not None
         return {node: entry.overlay.neighbors(node) for node in node_list}
-
-    def adjacency_of(self, node: int) -> list[int]:
-        """The live sorted adjacency list of one node."""
-        return self.gather_adjacency([node])[node]
 
     def recompute_cost(self) -> float:
         """Modelled cost of one from-scratch recompute: nodes plus edges."""

@@ -41,6 +41,7 @@ import numpy as np
 from repro.apps.pagerank import personalized_pagerank
 from repro.baselines.cpu import NaiveCPUEngine
 from repro.dynamic.updates import DELETE, DeltaRecord, INSERT
+from repro.graph.graph import Graph
 
 from repro.views.base import GraphContext, MaterializedView, unknown_param_check
 
@@ -117,18 +118,24 @@ class PageRankView(MaterializedView):
             )
         self._estimates = np.zeros(0, dtype=np.float64)
         self._residuals = np.zeros(0, dtype=np.float64)
+        #: Live out-degree of every node, set by :meth:`rebuild` and kept
+        #: current for touched nodes by :meth:`_correct_residuals`.
+        self._degrees = np.zeros(0, dtype=np.float64)
 
     # -- building --------------------------------------------------------------
 
     def rebuild(self) -> None:
         """Run the canonical forward push from scratch on the live graph."""
-        entry = self.context.entry
+        adjacency = self.context.full_adjacency()
+        self._degrees = np.fromiter(
+            map(len, adjacency), dtype=np.float64, count=len(adjacency)
+        )
         result = personalized_pagerank(
-            NaiveCPUEngine(entry.graph),
+            NaiveCPUEngine(Graph(adjacency)),
             self.source,
             alpha=self.alpha,
             epsilon=self.epsilon,
-            degrees=entry.graph.degrees(),
+            degrees=self._degrees,
             max_iterations=self.max_iterations,
         )
         self._estimates = result.estimates
@@ -178,10 +185,12 @@ class PageRankView(MaterializedView):
         the effective op list: per ``(u, w)`` pair, membership before the
         batch is decided by the *first* effective op (a delete means the
         edge existed), membership after by the *last* (an insert means it
-        exists now).
+        exists now).  The gather also refreshes the touched nodes' degrees.
         """
         one_minus = 1.0 - self.alpha
         adjacency = self.context.gather_adjacency(touched)
+        for u in touched:
+            self._degrees[u] = len(adjacency[u])
         ops: dict[int, dict[int, list[str]]] = {u: {} for u in touched}
         for update in record.applied:
             ops[update.source].setdefault(update.target, []).append(update.kind)
@@ -225,8 +234,7 @@ class PageRankView(MaterializedView):
         alpha, epsilon = self.alpha, self.epsilon
         one_minus = 1.0 - alpha
         estimates, residuals = self._estimates, self._residuals
-        degrees = self.context.degrees().astype(np.float64)
-        thresholds = epsilon * np.maximum(1.0, degrees)
+        thresholds = epsilon * np.maximum(1.0, self._degrees)
 
         work = 0.0
         frontier = sorted(np.flatnonzero(np.abs(residuals) >= thresholds))

@@ -232,7 +232,7 @@ class TestServiceBatching:
         # The whole post-update sweep sees the inserted edge.
         assert after[0].value.level_of(tail) == 1
 
-        mutated = service.registry.resolve("web").graph
+        mutated = web_graph.with_edge_updates([EdgeUpdate.insert(0, tail)])
         reference = _sequential(mutated, sources)
         for source, result in zip(sources, after):
             np.testing.assert_array_equal(

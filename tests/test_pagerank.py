@@ -5,6 +5,10 @@ import pytest
 
 from repro.apps.pagerank import personalized_pagerank, reference_pagerank
 from repro.baselines.gpucsr import GPUCSREngine
+from repro.compression.cgr import CGRGraph
+from repro.dynamic.overlay import DeltaOverlay
+from repro.dynamic.updates import EdgeUpdate
+from repro.graph.generators import web_locality_graph
 from repro.graph.graph import Graph
 from repro.traversal.gcgt import GCGTEngine
 
@@ -60,6 +64,24 @@ class TestPersonalizedPageRank:
         engine = GCGTEngine.from_graph(strongly_connected_graph)
         result = personalized_pagerank(engine, source=0, epsilon=1e-3)
         assert result.estimates[0] > 0
+
+    def test_measured_degrees_follow_overlay_updates(self):
+        # Regression: measured degrees were cached per engine for the life
+        # of the process, so an engine whose overlay absorbed updates kept
+        # splitting residuals by its old degrees (estimates summed to 1.63).
+        graph = web_locality_graph(200, seed=3)
+        overlay = DeltaOverlay(CGRGraph.from_adjacency(graph.adjacency()))
+        engine = GCGTEngine(overlay)
+        personalized_pagerank(engine, 0, epsilon=1e-6)
+        absent = [t for t in range(1, 200) if not graph.has_edge(0, t)][:5]
+        batch = [EdgeUpdate.insert(0, target) for target in absent]
+        overlay.apply(batch)
+        updated = personalized_pagerank(engine, 0, epsilon=1e-6)
+        fresh = personalized_pagerank(
+            GCGTEngine.from_graph(graph.with_edge_updates(batch)), 0, epsilon=1e-6
+        )
+        assert updated.estimates.sum() <= 1.0
+        assert np.allclose(updated.estimates, fresh.estimates)
 
     def test_gcgt_and_csr_engines_agree(self, strongly_connected_graph):
         graph = strongly_connected_graph

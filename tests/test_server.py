@@ -11,9 +11,11 @@ draining exact assertions instead of timing-dependent ones.
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 import time
+import weakref
 from unittest.mock import ANY
 
 import numpy as np
@@ -1043,3 +1045,34 @@ class TestTerminalOutcomes:
             )
             assert counters.failed == counters.degraded == 0
         service.close()
+
+
+def test_closed_stack_is_freed_without_a_garbage_collection():
+    # Callback-backed instruments close over their owners and the view
+    # manager subscribes to the registry; close() must break those cycles
+    # so reference counting alone frees a closed stack.
+    gc.collect()
+    gc.disable()
+    try:
+        service = TraversalService(telemetry=Telemetry(sample_rate=1.0))
+        service.register_graph("g", web_locality_graph(120, seed=1), shards=2)
+        service.register_view("g-cc", "g", kind="cc")
+        scheduler = service.enable_maintenance()
+        door = FrontDoor(service)
+        door.register_tenant("t")
+        door.attach_maintenance(scheduler)
+        assert door.call("t", BFSQuery("g", 0), timeout=30).ok
+        service.apply_updates("g", [("insert", 0, 119)])
+        scheduler.tick()
+        metrics = service.telemetry.metrics
+        queries = metrics.get("service_queries_served_total").value()
+        refs = [weakref.ref(obj) for obj in (service, service.registry, door)]
+        door.close(timeout=30)
+        service.close()
+        del service, door, scheduler
+        assert [ref() for ref in refs] == [None, None, None]
+        # The frozen instruments still report the closed stack's totals.
+        assert metrics.get("service_queries_served_total").value() == queries
+        assert metrics.get("maintenance_ticks_total").value() >= 1
+    finally:
+        gc.enable()

@@ -275,8 +275,8 @@ class TestEncodeOnce:
 
     def test_csr_is_registered_side_by_side(self, three_graphs):
         entry = TraversalService().register_graph("web", three_graphs["web"])
-        assert entry.csr.num_edges == entry.cgr.num_edges == entry.graph.num_edges
-        assert entry.csr.neighbors(0).tolist() == entry.cgr.neighbors(0)
+        assert entry.csr.num_edges == entry.cgr.num_edges == entry.num_edges
+        assert entry.csr.neighbors(0).tolist() == entry.overlay.neighbors(0)
 
 
 # ---------------------------------------------------------------------------

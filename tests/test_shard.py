@@ -156,13 +156,12 @@ class TestPartitionerInvariants:
     ):
         undirected = graph.to_undirected()
         partition = get_partitioner(name).partition(undirected, num_shards)
-        boundary = partition.boundary_edge_set()
-        assert boundary == {(target, source) for source, target in boundary}
-        # Every boundary edge really crosses shards; every crossing edge is
-        # in the table.
-        for source, target in undirected.edges():
-            crosses = partition.owner(source) != partition.owner(target)
-            assert ((source, target) in boundary) == crosses
+        np.testing.assert_array_equal(
+            partition.crossings, partition.crossings.T
+        )
+        np.testing.assert_array_equal(
+            partition.crossings, _brute_force_crossings(undirected, partition)
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -220,8 +219,38 @@ class TestPartitionerInvariants:
             )
 
     def test_boundary_counts_sum_to_edge_cut(self, family_graphs):
-        partition = HashPartitioner().partition(family_graphs["power-law"], 3)
-        assert sum(partition.boundary_counts().values()) == partition.edge_cut
+        # The numpy shard-pair counts equal a per-edge count over the
+        # graph's edges, for every partitioner and shard count.
+        graph = family_graphs["power-law"]
+        for name in PARTITIONERS:
+            for num_shards in (2, 4):
+                partition = get_partitioner(name).partition(graph, num_shards)
+                expected = _brute_force_crossings(graph, partition)
+                np.testing.assert_array_equal(partition.crossings, expected)
+                assert partition.boundary_counts() == {
+                    (s, t): int(expected[s, t])
+                    for s in range(num_shards) for t in range(num_shards)
+                    if expected[s, t]
+                }
+                assert partition.edge_cut == int(expected.sum())
+                np.testing.assert_array_equal(
+                    partition.shard_edge_counts,
+                    np.bincount(
+                        [partition.owner(source) for source, _ in graph.edges()],
+                        minlength=num_shards,
+                    ),
+                )
+
+
+def _brute_force_crossings(graph: Graph, partition) -> np.ndarray:
+    """Shard-pair crossing counts from one pass over ``graph.edges()``."""
+    counts = np.zeros((partition.num_shards,) * 2, dtype=np.int64)
+    for source, target in graph.edges():
+        source_shard = partition.owner(source)
+        target_shard = partition.owner(target)
+        if source_shard != target_shard:
+            counts[source_shard, target_shard] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ Four concerns, mirroring the format's promises:
 from __future__ import annotations
 
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -555,8 +556,8 @@ class TestServiceSnapshotRestore:
         )
         assert old.epoch == 1
         assert old.num_edges == edges_at_epoch_1
-        assert not old.graph.has_edge(1, 398)
-        assert latest.graph.has_edge(1, 398)
+        assert not old.overlay.has_edge(1, 398)
+        assert latest.overlay.has_edge(1, 398)
 
     def test_manifest_pointer_written_atomically(self, web_graph, tmp_path):
         # The pointer swap goes through a temp file + rename, so a crash
@@ -703,6 +704,17 @@ class TestShardedSnapshotRestore:
                 service.save_graph("g", tmp_path / "snap")
         finally:
             service.close()
+
+    def test_shard_base_of_another_size_rejected(
+        self, web_graph, tiny_graph, tmp_path
+    ):
+        for graph, name in ((web_graph, "snap"), (tiny_graph, "other")):
+            service = TraversalService()
+            service.register_graph("g", graph, shards=2)
+            service.save_graph("g", tmp_path / name)
+        shutil.copy(tmp_path / "other" / "shard-0.cgr", tmp_path / "snap")
+        with pytest.raises(StoreFormatError, match="partition assigns"):
+            TraversalService().load_graph(tmp_path / "snap")
 
     def test_restored_sharded_entry_absorbs_updates(self, web_graph, tmp_path):
         service = TraversalService()
