@@ -18,6 +18,13 @@ least :data:`PLAN_BATCH_GATE` times faster than the scalar per-node
 builder, on equal plans.  Its bar is the lower of that constant and
 ``DECODE_SPEEDUP_MIN``, so the relaxed CI smoke runs it at the same 2x.
 
+A third gate covers the encoder on the hub-heavy families (twitter,
+ljournal): a full-graph encode with the O(k) residual-segment partition
+must run at least :data:`ENCODE_GATE` times faster, in aggregate, than the
+seed's probe-writer partition, on bit-identical streams, and no family may
+encode slower than the seed.  Its bar is likewise the lower of that
+constant and ``DECODE_SPEEDUP_MIN``.
+
 ``scripts/record_bench.py`` runs the same measurements and records the
 numbers into ``BENCH_decode.json`` so the perf trajectory is tracked
 across PRs.
@@ -29,7 +36,9 @@ import os
 
 from repro.bench.decode_bench import (
     DECODE_BENCH_DATASETS,
+    ENCODE_BENCH_DATASETS,
     run_decode_benchmark,
+    run_encode_benchmark,
     run_plan_batch_benchmark,
 )
 
@@ -38,6 +47,9 @@ FULL_GATE_SPEEDUP = 5.0
 
 #: Full-gate speedup of batched over scalar plan building per window.
 PLAN_BATCH_GATE = 2.0
+
+#: Full-gate aggregate encode speedup of the O(k) over the probe partition.
+ENCODE_GATE = 2.5
 
 
 def _threshold() -> float:
@@ -86,4 +98,24 @@ def test_batched_plan_decode_beats_scalar_builder(run_once):
             f"{result.batch_seconds * 1e3:.2f} ms batched vs "
             f"{result.scalar_seconds * 1e3:.2f} ms scalar -- only "
             f"{result.speedup:.2f}x, need >= {0.75 * threshold:.2f}x"
+        )
+
+
+def test_linear_partition_encodes_hub_families_faster(run_once):
+    threshold = min(ENCODE_GATE, _threshold())
+    results = run_once(run_encode_benchmark)
+
+    assert [r.dataset for r in results] == list(ENCODE_BENCH_DATASETS)
+    aggregate = sum(r.probe_seconds for r in results) / sum(
+        r.encode_seconds for r in results
+    )
+    assert aggregate >= threshold, (
+        f"aggregate encode speedup {aggregate:.2f}x across "
+        f"{len(results)} datasets, need >= {threshold:.1f}x"
+    )
+    for result in results:
+        assert result.speedup >= 1.0, (
+            f"{result.dataset}: encoded in {result.encode_seconds:.3f} s vs "
+            f"{result.probe_seconds:.3f} s with the probe partition -- "
+            f"slower ({result.speedup:.2f}x)"
         )

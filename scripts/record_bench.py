@@ -34,13 +34,16 @@ def record_decode() -> dict:
     """The decode-throughput benchmark (see ``repro.bench.decode_bench``)."""
     from repro.bench.decode_bench import (
         DECODE_BENCH_SCALE,
+        ENCODE_BENCH_SCALE,
         PLAN_BENCH_WINDOW,
         run_decode_benchmark,
+        run_encode_benchmark,
         run_plan_batch_benchmark,
     )
 
     results = run_decode_benchmark()
     plans = run_plan_batch_benchmark()
+    encodes = run_encode_benchmark()
     return {
         "benchmark": "decode_throughput",
         "unit": "edges/second, end-to-end adjacency reconstruction",
@@ -66,6 +69,20 @@ def record_decode() -> dict:
             "aggregate_speedup": round(
                 sum(r.scalar_seconds for r in plans)
                 / sum(r.batch_seconds for r in plans),
+                2,
+            ),
+        },
+        "encode": {
+            "unit": "seconds per full-graph encode",
+            "baseline": "seed probe-writer segment partition "
+                        "(repro.compression.reference.probe_encode_graph)",
+            "candidate": "O(k) segment partition (CGRGraph.from_adjacency)",
+            "scale_nodes": ENCODE_BENCH_SCALE,
+            "results": [r.as_row() for r in encodes],
+            "min_speedup": round(min(r.speedup for r in encodes), 2),
+            "aggregate_speedup": round(
+                sum(r.probe_seconds for r in encodes)
+                / sum(r.encode_seconds for r in encodes),
                 2,
             ),
         },

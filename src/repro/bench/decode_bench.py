@@ -20,6 +20,13 @@ one :data:`PLAN_BENCH_WINDOW`-node frontier window built in one vectorized
 batch (:func:`~repro.traversal.context.build_node_plans`, over the graph's
 resident decode state) against the scalar per-node builder
 (:func:`~repro.traversal.context.build_node_plan`), plans asserted equal.
+
+A third row measures the encoder: a full-graph
+:meth:`~repro.compression.cgr.CGRGraph.from_adjacency`, whose residual-segment
+partition costs O(k) code-length evaluations per node, against
+:func:`~repro.compression.reference.probe_encode_graph`, which partitions
+with the seed's probe writer (O(k^2) code writes on a hub), streams asserted
+bit-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from typing import Sequence
 
 from repro.bench.harness import best_of
 from repro.compression.cgr import CGRConfig, CGRGraph
-from repro.compression.reference import NaiveCGRDecoder
+from repro.compression.reference import NaiveCGRDecoder, probe_encode_graph
 from repro.graph.datasets import load_dataset
 from repro.traversal.context import build_node_plan, build_node_plans
 
@@ -215,14 +222,101 @@ def run_plan_batch_benchmark(
     ]
 
 
+#: The hub-heavy families the encode row sweeps: their long residual runs
+#: span many segments, which is where the partition's cost lives.  Web
+#: crawls (the uk family) spend their encode time in intervals and the
+#: per-code write path instead.
+ENCODE_BENCH_DATASETS: tuple[str, ...] = ("twitter", "ljournal")
+
+#: Node count of the encode row.  The seed partition needs about a second
+#: for twitter at this size, so a gate run stays a few seconds long.
+ENCODE_BENCH_SCALE = 1500
+
+
+@dataclass(frozen=True)
+class EncodeBenchResult:
+    """One dataset's full-graph encode time, both partitions."""
+
+    dataset: str
+    nodes: int
+    edges: int
+    bits_per_edge: float
+    encode_seconds: float
+    probe_seconds: float
+
+    @property
+    def speedup(self) -> float:
+        """How many times faster the O(k) partition encodes the graph."""
+        return self.probe_seconds / self.encode_seconds
+
+    def as_row(self) -> dict:
+        """A JSON-ready row (dataclass fields plus the speedup)."""
+        row = asdict(self)
+        row["bits_per_edge"] = round(self.bits_per_edge, 3)
+        row["encode_seconds"] = round(self.encode_seconds, 6)
+        row["probe_seconds"] = round(self.probe_seconds, 6)
+        row["speedup"] = round(self.speedup, 2)
+        return row
+
+
+def measure_encode(
+    name: str,
+    scale: int = ENCODE_BENCH_SCALE,
+    config: CGRConfig | None = None,
+    repeats: int = 2,
+) -> EncodeBenchResult:
+    """Time one dataset's full-graph encode, both partitions.
+
+    The two encoders alternate round by round (best of ``repeats`` each).
+    Raises :class:`AssertionError` unless both produce the same stream
+    words, bit length, offsets and edge count.
+    """
+    adjacency = load_dataset(name, scale).adjacency()
+    encode_seconds = probe_seconds = float("inf")
+    for _ in range(repeats):
+        seconds, encoded = best_of(
+            1, lambda: CGRGraph.from_adjacency(adjacency, config)
+        )
+        encode_seconds = min(encode_seconds, seconds)
+        seconds, probed = best_of(1, lambda: probe_encode_graph(adjacency, config))
+        probe_seconds = min(probe_seconds, seconds)
+    assert (
+        encoded.bits.to_word_bytes() == probed.bits.to_word_bytes()
+        and encoded.total_bits == probed.total_bits
+        and encoded.offsets.tolist() == probed.offsets.tolist()
+        and encoded.num_edges == probed.num_edges
+    ), f"the two partitions encode dataset {name!r} differently"
+    return EncodeBenchResult(
+        dataset=name,
+        nodes=encoded.num_nodes,
+        edges=encoded.num_edges,
+        bits_per_edge=encoded.bits_per_edge,
+        encode_seconds=encode_seconds,
+        probe_seconds=probe_seconds,
+    )
+
+
+def run_encode_benchmark(
+    datasets: Sequence[str] = ENCODE_BENCH_DATASETS,
+    scale: int = ENCODE_BENCH_SCALE,
+) -> list[EncodeBenchResult]:
+    """Measure every dataset's encode row, in order."""
+    return [measure_encode(name, scale=scale) for name in datasets]
+
+
 __all__ = [
     "DECODE_BENCH_DATASETS",
     "DECODE_BENCH_SCALE",
     "DecodeBenchResult",
+    "ENCODE_BENCH_DATASETS",
+    "ENCODE_BENCH_SCALE",
+    "EncodeBenchResult",
     "PLAN_BENCH_WINDOW",
     "PlanBenchResult",
     "measure_dataset",
+    "measure_encode",
     "measure_plan_batch",
     "run_decode_benchmark",
+    "run_encode_benchmark",
     "run_plan_batch_benchmark",
 ]

@@ -15,13 +15,15 @@ Layers, bottom-up:
     Variable-length codes: unary, Elias gamma, Elias delta and zeta_k codes
     (Boldi & Vigna), exactly as described in Appendix B of the paper, plus
     the bulk run decoders (``decode_gamma_run`` et al.) that decode whole
-    residual runs per call.
+    residual runs per call and closed-form code lengths
+    (``VLCScheme.encoded_length``).
 ``vectorized``
     Whole-graph adjacency decode in numpy SIMD rounds (the paper's parallel
     decode mapped to the CPU); reached through ``CGRGraph.decode_all``.
 ``reference``
-    The seed's list-of-bits implementation, retained as the differential
-    baseline for the property suite and the decode-throughput benchmark.
+    The seed's list-of-bits implementation and probe-writer segment
+    partition, retained as differential baselines for the property suites
+    and the codec benchmark.
 ``gaps``
     Gap transformation and the sign/minimum shifting rules of Appendix C.
 ``intervals``
@@ -42,6 +44,7 @@ Layers, bottom-up:
 from repro.compression.bitarray import BitReader, BitWriter, PackedBits
 from repro.compression.vlc import (
     VLC_SCHEMES,
+    VLCScheme,
     decode_delta,
     decode_delta_run,
     decode_gamma,
@@ -76,6 +79,7 @@ __all__ = [
     "BitWriter",
     "PackedBits",
     "VLC_SCHEMES",
+    "VLCScheme",
     "encode_unary",
     "decode_unary",
     "encode_gamma",

@@ -18,6 +18,16 @@ bits (padded with zero bits) and contains ``resNum`` followed by that many
 residual gaps; the first residual of *every* segment is taken relative to the
 source node so segments can be decoded independently and in parallel.
 
+The encoder partitions a residual run greedily, from its first residual on.
+If ``resNum`` plus the codes of all remaining residuals fit in
+``2 * residual_segment_bits``, they form the last segment, so no trailing
+fragment shorter than a segment is left.  Otherwise the next segment takes
+residuals while ``resNum`` plus their codes fit in ``residual_segment_bits``,
+and always takes at least one.  A lone residual too wide for a segment that
+is not the last raises :class:`ValueError`.  The partition reads code lengths
+only (:meth:`~repro.compression.vlc.VLCScheme.encoded_length`, closed-form),
+so it costs O(k) for a run of ``k`` residuals.
+
 All quantities are written with the configured VLC scheme after the shifting
 rules of Appendix C (see :mod:`repro.compression.gaps`).
 """
@@ -26,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -554,14 +565,65 @@ def _encode_residual_run(
         previous = residual
 
 
-def _residual_run_bits(
-    scheme: VLCScheme, node: int, residuals: Sequence[int]
-) -> int:
-    """Bits needed for ``resNum`` plus the gap encoding of ``residuals``."""
-    probe = BitWriter()
-    scheme.encode(probe, to_vlc_value(len(residuals)))
-    _encode_residual_run(probe, scheme, node, residuals)
-    return probe.bit_length
+def _segment_bounds(
+    scheme: VLCScheme, seg_bits: int, node: int, residuals: Sequence[int]
+) -> list[int]:
+    """Partition a residual run into segments; return their boundaries.
+
+    The result is ``[0, b1, ..., len(residuals)]``: segment ``i`` holds
+    ``residuals[bounds[i]:bounds[i + 1]]``.  An empty run is one empty
+    segment, ``[0, 0]``.  The rule is the one in the module docstring and
+    costs O(k) code-length evaluations for ``k`` residuals: every follower
+    code is sized once, every segment start sizes its zig-zagged head code,
+    a suffix sum sizes the remaining run and a running sum grows each
+    segment.  A run that fits ``2 * seg_bits`` even at its widest possible
+    gap code is one segment after O(1) evaluations.  Nothing is written;
+    :func:`_encode_segmented_residuals` writes the segments afterwards.
+
+    Raises :class:`ValueError` when a segment's single first residual (with
+    its ``resNum`` field) is wider than ``seg_bits`` and more residuals
+    follow it, because that segment cannot be padded to ``seg_bits``.
+    """
+    total = len(residuals)
+    if total == 0:
+        return [0, 0]
+    length = scheme.encoded_length
+    head = length(zigzag_encode(residuals[0] - node) + 1)
+    # Code lengths grow with the value and no follower gap exceeds the run's
+    # span, so a run whose bound fits 2 * seg_bits is one segment without
+    # sizing each code: most nodes stop here.
+    widest = length(max(residuals[-1] - residuals[0], 1))
+    if length(total + 1) + head + (total - 1) * widest <= 2 * seg_bits:
+        return [0, total]
+    # follow[i]: bits of residual i's gap code after residual i - 1.
+    follow = [0, *map(length, map(sub, residuals[1:], residuals))]
+    rest = sum(follow)  # follower bits of residuals[start + 1:]
+    bounds = [0]
+    start = 0
+    while length(total - start + 1) + head + rest > 2 * seg_bits:
+        used = head
+        end = start + 1
+        while end < total:
+            grown = used + follow[end]
+            if length(end - start + 2) + grown > seg_bits:
+                break
+            used = grown
+            end += 1
+        if end == total:
+            break
+        width = length(2) + head
+        if end == start + 1 and width > seg_bits:
+            raise ValueError(
+                f"node {node}: residual {residuals[start]} needs {width} "
+                f"bits with its resNum field, wider than the {seg_bits}-bit "
+                "residual segment"
+            )
+        bounds.append(end)
+        rest -= used - head + follow[end]
+        start = end
+        head = length(zigzag_encode(residuals[start] - node) + 1)
+    bounds.append(total)
+    return bounds
 
 
 def _encode_segmented_residuals(
@@ -571,42 +633,28 @@ def _encode_segmented_residuals(
     node: int,
     residuals: Sequence[int],
 ) -> None:
-    """Write ``segNum`` followed by fixed-length residual segments (Figure 6)."""
+    """Write ``segNum`` followed by fixed-length residual segments (Figure 6).
+
+    The partition (:func:`_segment_bounds`) is computed from code lengths
+    alone in one O(k) pass, then each segment is written and every segment
+    but the last is zero-padded to ``residual_segment_bits``.  The rule:
+    if ``resNum`` plus the codes of all remaining residuals fit in
+    ``2 * residual_segment_bits``, they form the last segment; otherwise the
+    segment takes residuals while ``resNum`` plus their codes fit in
+    ``residual_segment_bits``, and always at least one.
+    """
     seg_bits = config.residual_segment_bits
     assert seg_bits is not None
-
-    # Partition the residuals greedily into segments of at most ``seg_bits``
-    # bits each; the final segment may be up to twice as long so that no
-    # trailing fragment shorter than a segment is created.
-    segments: list[list[int]] = []
-    index = 0
-    total = len(residuals)
-    while index < total:
-        remaining = residuals[index:]
-        if _residual_run_bits(scheme, node, remaining) <= 2 * seg_bits:
-            segments.append(list(remaining))
-            index = total
-            break
-        chunk: list[int] = []
-        while index < total:
-            candidate = chunk + [residuals[index]]
-            if chunk and _residual_run_bits(scheme, node, candidate) > seg_bits:
-                break
-            chunk = candidate
-            index += 1
-        segments.append(chunk)
-    if not segments:
-        segments = [[]]
-
-    scheme.encode(writer, to_vlc_value(len(segments)))
+    bounds = _segment_bounds(scheme, seg_bits, node, residuals)
+    last = len(bounds) - 2
+    scheme.encode(writer, to_vlc_value(last + 1))
     base = writer.bit_length
-    for seg_index, segment in enumerate(segments):
+    for seg_index in range(last + 1):
+        segment = residuals[bounds[seg_index]:bounds[seg_index + 1]]
         scheme.encode(writer, to_vlc_value(len(segment)))
         _encode_residual_run(writer, scheme, node, segment)
-        is_last = seg_index == len(segments) - 1
-        if not is_last:
-            target = base + (seg_index + 1) * seg_bits
-            writer.pad_to(target)
+        if seg_index != last:
+            writer.pad_to(base + (seg_index + 1) * seg_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""The seed's bit-granular reader/writer, retained as a differential baseline.
+"""The seed's bit-granular reader/writer and segment partition, retained as baselines.
 
 This module preserves the original list-of-bits implementation that
 :mod:`repro.compression.bitarray` replaced with the packed-word engine: one
 Python ``int`` object per bit, per-bit append/read loops, ``str``-concat
-exports.  It exists for two reasons:
+exports.  It exists for three reasons:
 
 * the property suite (``tests/test_bitstream_packed.py``) round-trips random
   bit patterns, arbitrary start offsets and every VLC scheme through the
@@ -13,7 +13,14 @@ exports.  It exists for two reasons:
 * the decode-throughput benchmark (``benchmarks/test_decode_throughput.py``)
   measures the packed hot path against this implementation, which is the
   seed's real cost profile, and gates the ≥5x speedup the packed engine must
-  deliver.
+  deliver;
+* the seed's residual-segment partition (:func:`probe_segment_partition`),
+  which sizes every candidate segment by re-encoding it into a probe writer,
+  is the differential oracle of the encoder's O(k) partition: the property
+  suite (``tests/test_segment_partition.py``) asserts equal segment
+  boundaries and bit-identical streams, and the decode benchmark times
+  :func:`probe_encode_graph` against :meth:`CGRGraph.from_adjacency
+  <repro.compression.cgr.CGRGraph.from_adjacency>`.
 
 Nothing in the library's serving path imports this module.
 """
@@ -23,8 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.compression.gaps import from_vlc_value, zigzag_decode
-from repro.compression.intervals import Interval
+import numpy as np
+
+from repro.compression.bitarray import BitWriter
+from repro.compression.cgr import (
+    CGRConfig,
+    CGRGraph,
+    _encode_intervals,
+    _encode_node,
+    _encode_residual_run,
+)
+from repro.compression.gaps import from_vlc_value, to_vlc_value, zigzag_decode
+from repro.compression.intervals import Interval, split_intervals_residuals
 
 
 class NaiveBitWriter:
@@ -288,8 +305,96 @@ class NaiveCGRDecoder:
         return [self.neighbors(node) for node in range(len(self.offsets) - 1)]
 
 
+def probe_residual_run_bits(scheme, node: int, residuals: Sequence[int]) -> int:
+    """Bits needed for ``resNum`` plus the gap encoding of ``residuals``."""
+    probe = BitWriter()
+    scheme.encode(probe, to_vlc_value(len(residuals)))
+    _encode_residual_run(probe, scheme, node, residuals)
+    return probe.bit_length
+
+
+def probe_segment_partition(
+    scheme, seg_bits: int, node: int, residuals: Sequence[int]
+) -> list[list[int]]:
+    """The seed's greedy segment partition, one probe encode per step.
+
+    Re-encodes the whole remaining run at every segment start and the whole
+    candidate segment for every residual it adds, so a run of ``k``
+    residuals costs O(k^2) code writes.  Returns the segments' residuals.
+    """
+    # Partition the residuals greedily into segments of at most ``seg_bits``
+    # bits each; the final segment may be up to twice as long so that no
+    # trailing fragment shorter than a segment is created.
+    segments: list[list[int]] = []
+    index = 0
+    total = len(residuals)
+    while index < total:
+        remaining = residuals[index:]
+        if probe_residual_run_bits(scheme, node, remaining) <= 2 * seg_bits:
+            segments.append(list(remaining))
+            index = total
+            break
+        chunk: list[int] = []
+        while index < total:
+            candidate = chunk + [residuals[index]]
+            if chunk and probe_residual_run_bits(scheme, node, candidate) > seg_bits:
+                break
+            chunk = candidate
+            index += 1
+        segments.append(chunk)
+    if not segments:
+        segments = [[]]
+    return segments
+
+
+def _probe_segmented_residuals(writer, scheme, config, node: int, residuals) -> None:
+    """Write ``segNum`` and the segments of :func:`probe_segment_partition`."""
+    seg_bits = config.residual_segment_bits
+    segments = probe_segment_partition(scheme, seg_bits, node, residuals)
+    scheme.encode(writer, to_vlc_value(len(segments)))
+    base = writer.bit_length
+    for seg_index, segment in enumerate(segments):
+        scheme.encode(writer, to_vlc_value(len(segment)))
+        _encode_residual_run(writer, scheme, node, segment)
+        is_last = seg_index == len(segments) - 1
+        if not is_last:
+            target = base + (seg_index + 1) * seg_bits
+            writer.pad_to(target)
+
+
+def probe_encode_graph(adjacency: Sequence[Sequence[int]], config=None):
+    """Encode a graph as :meth:`CGRGraph.from_adjacency` does, seed partition.
+
+    Interval areas, residual gap codes and the unsegmented layout go through
+    the encoder's own code; the segmented residual area (partition,
+    ``segNum``/``resNum`` fields, padding) is the seed's
+    (:func:`probe_segment_partition`).  Returns a
+    :class:`~repro.compression.cgr.CGRGraph`.
+    """
+    config = config or CGRConfig.paper_defaults()
+    scheme = config.scheme
+    writer = BitWriter()
+    offsets = np.zeros(len(adjacency) + 1, dtype=np.int64)
+    num_edges = 0
+    for node, raw_neighbors in enumerate(adjacency):
+        offsets[node] = writer.bit_length
+        neighbors = sorted(set(raw_neighbors))
+        num_edges += len(neighbors)
+        if config.residual_segment_bits is None:
+            _encode_node(writer, scheme, config, node, neighbors)
+            continue
+        form = split_intervals_residuals(neighbors, config.min_interval_length)
+        _encode_intervals(writer, scheme, config, node, form, always=True)
+        _probe_segmented_residuals(writer, scheme, config, node, form.residuals)
+    offsets[len(adjacency)] = writer.bit_length
+    return CGRGraph(len(adjacency), num_edges, writer, offsets, config)
+
+
 __all__ = [
     "NaiveBitReader",
     "NaiveBitWriter",
     "NaiveCGRDecoder",
+    "probe_encode_graph",
+    "probe_residual_run_bits",
+    "probe_segment_partition",
 ]

@@ -88,6 +88,12 @@ def decode_gamma(reader: BitReader) -> int:
     return (1 << (length - 1)) | rest
 
 
+def gamma_length(value: int) -> int:
+    """Bits of the gamma code of ``value >= 1``: ``2L - 1`` for bit length ``L``."""
+    _require_positive(value)
+    return 2 * value.bit_length() - 1
+
+
 # ---------------------------------------------------------------------------
 # Elias delta code (not used in the paper's chosen configuration, provided
 # for completeness of the codec substrate and for ablations)
@@ -106,6 +112,13 @@ def decode_delta(reader: BitReader) -> int:
     length = decode_gamma(reader)
     rest = reader.read_bits(length - 1)
     return (1 << (length - 1)) | rest
+
+
+def delta_length(value: int) -> int:
+    """Bits of the delta code of ``value >= 1``: gamma(``L``) plus ``L - 1``."""
+    _require_positive(value)
+    length = value.bit_length()
+    return 2 * length.bit_length() + length - 2
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +150,22 @@ def decode_zeta(reader: BitReader, k: int) -> int:
         raise VLCError(f"zeta parameter k must be >= 1, got {k}")
     h = reader.read_unary() + 1
     return reader.read_bits(h * k)
+
+
+def _make_zeta_length(k: int) -> Callable[[int], int]:
+    """The zeta_k code length: ``h * (k + 1)`` bits for ``value >= 1``.
+
+    ``h = ceil(L / k)`` for bit length ``L`` is the digit-group count
+    :func:`encode_zeta` writes as ``h - 1`` zeros and a one.  ``k`` is bound
+    in a closure so each length costs one flat call.
+    """
+    group = k + 1
+
+    def zeta_length(value: int) -> int:
+        _require_positive(value)
+        return -(-value.bit_length() // k) * group
+
+    return zeta_length
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +436,9 @@ def decode_zeta_run(
 
 @dataclass(frozen=True)
 class VLCScheme:
-    """A named encode/decode pair over positive integers.
+    """A named encode/decode pair over positive integers, with the code's
+    closed-form length (:meth:`encoded_length`), which the CGR encoder
+    reads to partition residual segments before writing them.
 
     ``bulk_decode`` is the scheme's packed-word run decoder (``None`` for
     schemes without one); use :meth:`decode_run` /
@@ -418,6 +449,8 @@ class VLCScheme:
     name: str
     encode: Callable[[BitWriter, int], None]
     decode: Callable[[BitReader], int]
+    #: Closed-form code length, ``code_length(value) -> bits``.
+    code_length: Callable[[int], int] = field(repr=False, compare=False)
     bulk_decode: Callable[
         [BitReader, int], tuple[list[int], list[int]]
     ] | None = field(default=None, repr=False, compare=False)
@@ -429,10 +462,13 @@ class VLCScheme:
     )
 
     def encoded_length(self, value: int) -> int:
-        """Number of bits this scheme needs for ``value``."""
-        writer = BitWriter()
-        self.encode(writer, value)
-        return writer.bit_length
+        """Number of bits this scheme needs for ``value``.
+
+        Closed-form (no bits written), so the CGR encoder can size each
+        residual segment before writing it.  Raises :class:`VLCError` for
+        ``value < 1``, as ``encode`` does.
+        """
+        return self.code_length(value)
 
     def encode_to_bits(self, value: int) -> str:
         """Return the code word for ``value`` as a bit string (for tests)."""
@@ -470,6 +506,7 @@ def _make_zeta_scheme(k: int) -> VLCScheme:
         name=f"zeta{k}",
         encode=lambda writer, value, _k=k: encode_zeta(writer, value, _k),
         decode=lambda reader, _k=k: decode_zeta(reader, _k),
+        code_length=_make_zeta_length(k),
         bulk_decode=lambda reader, count, _k=k: decode_zeta_run(reader, count, _k),
         stream_decoder=lambda source, position=0, _k=k: ZetaStreamDecoder(
             source, position, _k
@@ -479,10 +516,12 @@ def _make_zeta_scheme(k: int) -> VLCScheme:
 
 VLC_SCHEMES: dict[str, VLCScheme] = {
     "gamma": VLCScheme(
-        "gamma", encode_gamma, decode_gamma, decode_gamma_run, GammaStreamDecoder
+        "gamma", encode_gamma, decode_gamma, gamma_length,
+        decode_gamma_run, GammaStreamDecoder,
     ),
     "delta": VLCScheme(
-        "delta", encode_delta, decode_delta, decode_delta_run, DeltaStreamDecoder
+        "delta", encode_delta, decode_delta, delta_length,
+        decode_delta_run, DeltaStreamDecoder,
     ),
 }
 for _k in range(2, 7):

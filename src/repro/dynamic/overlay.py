@@ -773,6 +773,32 @@ class DeltaOverlay:
         self._extent_sets[node] = members
         return members
 
+    def warm_extent_sets(self, nodes: Iterable[int]) -> None:
+        """Cache the extent membership sets of ``nodes`` in one decode.
+
+        Nodes still clean on the base stream are decoded together in one
+        vectorized walk over the base's resident
+        :meth:`~repro.compression.cgr.CGRGraph.layout_decoder`, instead of
+        one scalar decode each when an update first touches them.  A
+        follower replaying a CDC tail calls this once with every node the
+        tail reads.  The cached sets are the same either way; ids out of
+        range are left for :meth:`apply` to reject.  Like :meth:`apply`,
+        call it under the lock that serialises the overlay's mutations.
+        """
+        missing = [
+            node for node in set(nodes)
+            if 0 <= node < self.num_nodes
+            and node not in self._extent_sets
+            and node not in self._extents
+        ]
+        if not missing or not supports(self.base):
+            return
+        lists = self.base.layout_decoder().decode(
+            np.asarray(missing, dtype=np.int64)
+        )
+        for node, members in zip(missing, lists):
+            self._extent_sets[node] = frozenset(members)
+
     def _extent_neighbor_list(self, node: int) -> list[int]:
         """Decode the node's extent (only) into a neighbour list."""
         plan = build_structural_plan(self, node)

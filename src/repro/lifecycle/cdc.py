@@ -31,7 +31,7 @@ import io
 import json
 from pathlib import Path
 
-from repro.dynamic.updates import DeltaRecord
+from repro.dynamic.updates import DELETE, DeltaRecord
 from repro.gpu.device import GPUDevice
 from repro.store.format import (
     MAGIC_CDC,
@@ -181,14 +181,31 @@ class FollowerReplica:
         cleanly, and each applied record advances the follower's logical
         epoch so a duplicated replay of the same log is a no-op.
         """
-        applied = 0
+        pending = []
+        last_epoch = self.applied_epoch
         for record in read_cdc_records(self.cdc_path):
-            if record["name"] != self.name:
+            if record["name"] != self.name or record["epoch"] <= last_epoch:
                 self.records_skipped += 1
                 continue
-            if record["epoch"] <= self.applied_epoch:
-                self.records_skipped += 1
-                continue
+            pending.append(record)
+            last_epoch = record["epoch"]
+        # One vectorized decode of every extent the replay reads -- each
+        # update's source, and a delete's target for the undirected
+        # sibling's reverse-edge check -- not one scalar decode each.  The
+        # follower owns its service; its lock keeps a maintenance pass from
+        # compacting a node while the warm-up caches that node's extent.
+        read = {
+            node
+            for record in pending
+            for kind, source, target in record["applied"]
+            for node in ((source, target) if kind == DELETE else (source,))
+        }
+        with self.service._lock:
+            entry = self.service.registry.resolve(self.name)
+            for overlay in entry.all_overlays():
+                overlay.warm_extent_sets(read)
+        applied = 0
+        for record in pending:
             self.service.apply_updates(
                 self.name,
                 [tuple(update) for update in record["applied"]],

@@ -241,6 +241,18 @@ class TestCompaction:
         assert plan.degree == len(merged)
         assert not overlay.compact(0)  # already clean
 
+    def test_warm_extent_sets_match_scalar_decodes(self):
+        graph = power_law_graph(80, hub_count=3, seed=5)
+        overlay = overlay_for(graph)
+        overlay.apply([EdgeUpdate.insert(1, 70)])
+        overlay.compact(1)
+        overlay.warm_extent_sets([0, 1, 2, 5, 5, 79, -1, 80])
+        for node in (0, 2, 5, 79):
+            assert overlay._extent_sets[node] == frozenset(graph.neighbors(node))
+        assert overlay.neighbors(1) == sorted(set(graph.neighbors(1)) | {70})
+        with pytest.raises(ValueError):
+            overlay.apply([EdgeUpdate.insert(80, 0)])
+
     def test_auto_compaction_respects_policy(self):
         overlay = overlay_for(
             chain_graph(40), policy=CompactionPolicy(min_delta=3, degree_fraction=0.0)

@@ -412,6 +412,33 @@ class TestCDC:
             )
         service.close()
 
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_follower_catch_up_decodes_touched_base_nodes_in_one_batch(
+        self, tmp_path, shards
+    ):
+        rng = random.Random(18)
+        service = _service(_graph(18), shards=shards)
+        service.save_graph("g", tmp_path / "snap")
+        service.start_cdc_export("g", tmp_path / "g.cdc")
+        for _ in range(3):
+            service.apply_updates("g", _batch(rng, 60))
+        with FollowerReplica(tmp_path / "snap", tmp_path / "g.cdc") as follower:
+            scalar_decodes = []
+            entry = follower.service.registry.resolve("g")
+            for overlay in entry.all_overlays():
+                original = overlay.base.neighbors
+                overlay.base.neighbors = (
+                    lambda node, original=original:
+                    scalar_decodes.append(node) or original(node)
+                )
+            assert follower.catch_up() == 3
+            assert scalar_decodes == []
+            assert np.array_equal(
+                np.array(_levels(service, "g")),
+                np.array(_levels(follower, "g")),
+            )
+        service.close()
+
     def test_follower_tracks_primary_across_rebase(self, tmp_path):
         rng = random.Random(17)
         service = _service(_graph(17))
