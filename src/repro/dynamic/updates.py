@@ -118,8 +118,8 @@ class DeltaRecord:
     *effective* batch (a batch that changed nothing -- empty, or all no-ops --
     emits no record at all), after every resident entry absorbed it.
     Incremental consumers (the materialized views of :mod:`repro.views`, and
-    eventually CDC followers) repair their state from the record instead of
-    recomputing from the graph.
+    the CDC log :mod:`repro.lifecycle.cdc` writes for followers) repair
+    their state from the record instead of recomputing from the graph.
 
     Attributes:
         name: the registered graph name the batch was applied to.
@@ -131,10 +131,9 @@ class DeltaRecord:
             the batch (compactions included), for correlation with
             :attr:`~repro.service.queries.QueryMetrics.graph_epoch`.
         applied: the effective directed updates, in application order.
-        mirror_applied: the same batch translated for the undirected
-            interpretation (both directions materialised on insert; a delete
-            emitted only when neither direction survives) -- what CC-style
-            consumers repair from.
+            Consumers that read the graph as undirected (the CC view)
+            derive that reading themselves: a delete only removes the
+            undirected edge when the reverse direction is not live.
         touched_nodes: source nodes whose directed adjacency changed.
     """
 
@@ -142,7 +141,6 @@ class DeltaRecord:
     epoch: int
     graph_epoch: int
     applied: tuple[EdgeUpdate, ...]
-    mirror_applied: tuple[EdgeUpdate, ...]
     touched_nodes: frozenset[int]
 
     @classmethod
@@ -177,9 +175,6 @@ class DeltaRecord:
             graph_epoch=last.graph_epoch,
             applied=tuple(
                 update for record in records for update in record.applied
-            ),
-            mirror_applied=tuple(
-                update for record in records for update in record.mirror_applied
             ),
             touched_nodes=frozenset(touched),
         )

@@ -57,10 +57,6 @@ def serialize_record(record: DeltaRecord) -> dict:
             [update.kind, update.source, update.target]
             for update in record.applied
         ],
-        "mirror_applied": [
-            [update.kind, update.source, update.target]
-            for update in record.mirror_applied
-        ],
         "touched_nodes": sorted(record.touched_nodes),
     }
 
@@ -190,18 +186,19 @@ class FollowerReplica:
             pending.append(record)
             last_epoch = record["epoch"]
         # One vectorized decode of every extent the replay reads -- each
-        # update's source, and a delete's target for the undirected
-        # sibling's reverse-edge check -- not one scalar decode each.  The
-        # follower owns its service; its lock keeps a maintenance pass from
-        # compacting a node while the warm-up caches that node's extent.
-        read = {
-            node
-            for record in pending
-            for kind, source, target in record["applied"]
-            for node in ((source, target) if kind == DELETE else (source,))
-        }
+        # update's source, plus a delete's target for the CC sibling's
+        # reverse-edge check if one exists -- not one scalar decode each.
+        # The follower owns its service; its lock keeps a maintenance pass
+        # from compacting a node while the warm-up caches that node's extent.
         with self.service._lock:
             entry = self.service.registry.resolve(self.name)
+            reverse = entry.undirected is not None
+            read = set()
+            for record in pending:
+                for kind, source, target in record["applied"]:
+                    read.add(source)
+                    if reverse and kind == DELETE:
+                        read.add(target)
             for overlay in entry.all_overlays():
                 overlay.warm_extent_sets(read)
         applied = 0

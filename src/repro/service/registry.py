@@ -22,9 +22,10 @@ cached decode plan is invalidated by epoch, so queries after a batch see the
 mutated graph while untouched nodes keep their warm plans.
 
 Connected components runs on the undirected interpretation of a graph, so the
-registry also keeps a lazily-built undirected sibling per entry, again encoded
-at most once; update batches are mirrored onto it (respecting reverse directed
-edges) whenever it exists.
+registry also keeps a lazily-built undirected sibling per entry for CC
+queries, again encoded at most once; update batches are mirrored onto it
+(respecting reverse directed edges) whenever it exists.  Materialized views,
+the CC view included, read the directed entry and never build it.
 
 Registering with ``shards=N`` makes the entry **sharded**: the graph is split
 by a :mod:`repro.shard` partitioner, each shard encoded independently, and
@@ -251,7 +252,7 @@ class GraphRegistry:
         emit nothing), after every resident entry has absorbed the batch --
         so a subscriber reading the registry sees post-batch state.  This is
         how the :class:`~repro.views.ViewManager` maintains materialized
-        views, and the hook a future CDC exporter tails.
+        views and how :class:`~repro.lifecycle.CDCWriter` logs the stream.
         """
         self._subscribers.append(callback)
 
@@ -555,9 +556,6 @@ class GraphRegistry:
             epoch=self._logical_epochs[name],
             graph_epoch=representative.epoch,
             applied=tuple(total.applied),
-            mirror_applied=tuple(
-                self._mirror_batch(total.applied, representative)
-            ),
             touched_nodes=frozenset(total.touched_nodes),
         )
         for subscriber in self._subscribers:

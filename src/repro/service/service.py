@@ -289,6 +289,11 @@ class TraversalService:
         the canonical expansion order (agreeing with the unsharded path to
         addition-order ulps); per-query metrics gain the shard fan-out and
         exchange volume.
+
+        ``executor_backend="process"`` is for read-mostly graphs: its
+        overlays live in the worker processes, so maintenance passes skip
+        the entry (no compaction, rebase or snapshot) and
+        :meth:`save_graph` / :meth:`rebase_graph` refuse it.
         """
         with self._lock:
             entry = self.registry.register(
@@ -375,8 +380,10 @@ class TraversalService:
             return self.views.refresh_view(name, full=full)
 
     def drop_view(self, name: str) -> None:
-        """Stop maintaining a view and forget its materialized state."""
-        self.views.drop_view(name)
+        """Stop maintaining a view and forget its materialized state (under
+        the service lock, so a drop never lands mid-fan-out of a batch)."""
+        with self._lock:
+            self.views.drop_view(name)
 
     def view_stats(self, name: str) -> ViewStats:
         """One view's maintenance ledger (cumulative counters)."""

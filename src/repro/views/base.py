@@ -115,26 +115,19 @@ class GraphContext:
     wholesale.  Adjacency reads go through the live serving state -- the
     delta overlay of an unsharded entry, or the owner shards' overlays
     (:meth:`~repro.shard.executor.ShardExecutor.gather_adjacency`) for a
-    sharded one -- so repair reads exactly what queries read.
+    sharded one -- so repair reads exactly what queries read.  Every view
+    kind reads the registered directed topology; none forces the
+    undirected CC sibling into being.
     """
 
-    def __init__(
-        self,
-        registry: "GraphRegistry",
-        graph: str,
-        undirected: bool = False,
-    ) -> None:
+    def __init__(self, registry: "GraphRegistry", graph: str) -> None:
         self.registry = registry
         self.graph = graph
-        self.undirected = undirected
 
     @property
     def entry(self) -> "RegisteredGraph":
-        """The resident entry the view reads (the undirected sibling for CC)."""
-        entry = self.registry.resolve(self.graph)
-        if self.undirected:
-            entry = self.registry.undirected_variant(entry)
-        return entry
+        """The registered (directed) entry the view reads."""
+        return self.registry.resolve(self.graph)
 
     @property
     def num_nodes(self) -> int:

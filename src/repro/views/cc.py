@@ -6,19 +6,22 @@ interpretation of the graph -- ``int64``, bit-identical to a from-scratch
 recompute at every epoch.  Maintenance follows the classic union-find
 split:
 
-* **Insertions** repair in place: each effective undirected insert is one
-  ``union`` into the resident forest.  Union-by-minimum-representative keeps
-  every root the smallest id of its component, so labels stay the reference
-  labels without any relabelling pass.
+* **Insertions** repair in place: each effective insert is one ``union`` of
+  its endpoints (unions ignore direction).  Union-by-minimum-representative
+  keeps every root the smallest id of its component, so labels stay the
+  reference labels without any relabelling pass.
 * **Deletions** trigger *bounded* recompute, scoped to affected components:
-  a tombstoned undirected edge can only split the component its endpoints
+  a delete ``u -> v`` removes the undirected edge only when ``v -> u`` is
+  not live, and a removed edge can only split the component its endpoints
   lie in, so only the members of those components are re-solved, against
-  their live adjacency.  Soundness of the scope: insertions are unioned
+  their live out-lists.  Soundness of the scope: insertions are unioned
   first, making the resident partition *coarser* than the true post-batch
   partition, hence every true component lies wholly inside one resident
-  component and member adjacency never escapes the member set.
+  component: the member set is closed under undirected adjacency, so the
+  members' out-lists hold every edge of their components.
 
-On sharded graphs the member adjacency is gathered through
+The view reads the registered directed entry, never the undirected CC
+sibling.  On sharded graphs the member adjacency is gathered through
 :meth:`~repro.shard.executor.ShardExecutor.gather_adjacency`, which reads
 each owner shard's overlay directly (no simulated kernel), and the neighbour
 lists are re-unioned into the coordinator's forest.
@@ -26,7 +29,7 @@ lists are re-unioned into the coordinator's forest.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -85,11 +88,11 @@ class _UnionFind:
 class CCView(MaterializedView):
     """Connected components, maintained by union-find repair.
 
-    Parameters: none.  The view reads the registered graph's *undirected
-    sibling* (forced into existence at registration), consuming the
-    ``mirror_applied`` half of each :class:`~repro.dynamic.DeltaRecord` --
-    the batch as translated for the undirected interpretation, where a
-    directed delete only lands once no direction of the edge survives.
+    Parameters: none.  The view reads the registered directed topology
+    and repairs from the ``applied`` updates of each
+    :class:`~repro.dynamic.DeltaRecord`: labels are those of the undirected
+    reading, where a directed delete only removes the edge once no
+    direction of it survives.
     """
 
     kind = "cc"
@@ -105,7 +108,7 @@ class CCView(MaterializedView):
         self._forest = _UnionFind(0)
 
     def rebuild(self) -> None:
-        """Solve the whole undirected topology into a fresh forest."""
+        """Solve the whole topology, read as undirected, into a fresh forest."""
         adjacency = self.context.full_adjacency()
         forest = _UnionFind(len(adjacency))
         for source, neighbors in enumerate(adjacency):
@@ -115,9 +118,17 @@ class CCView(MaterializedView):
         self.stats.builds += 1
 
     def apply_delta(self, record: DeltaRecord) -> None:
-        """Union the inserts, then scope-recompute components hit by deletes."""
-        inserts = [u for u in record.mirror_applied if u.kind == INSERT]
-        deletes = [u for u in record.mirror_applied if u.kind == DELETE]
+        """Union the inserts, then scope-recompute components hit by
+        deletes that removed an undirected edge."""
+        inserts = [u for u in record.applied if u.kind == INSERT]
+        deletes = [u for u in record.applied if u.kind == DELETE]
+        if deletes:
+            # One reverse-edge read per deleting batch: a delete whose
+            # reverse direction is live removes no undirected edge.
+            reverse_live = self.context.entry.has_edges(
+                [(u.target, u.source) for u in deletes]
+            )
+            deletes = [u for u, live in zip(deletes, reverse_live) if not live]
         work = 0.0
 
         for update in inserts:
@@ -128,9 +139,8 @@ class CCView(MaterializedView):
         if deletes:
             work += self._repair_deletions(deletes)
         elif not inserts:
-            # The batch changed only directed edges whose undirected
-            # interpretation survives (reverse direction still present):
-            # the component structure is untouched.
+            # The batch only deleted directed edges whose reverse direction
+            # is still live: the component structure is untouched.
             self.stats.skipped_batches += 1
             self.stats.avoided_cost += self.context.recompute_cost()
             return
@@ -186,11 +196,4 @@ class CCView(MaterializedView):
         return self._forest.parent.copy()
 
 
-def undirected_pairs(updates: Iterable[EdgeUpdate]) -> set[tuple[int, int]]:
-    """Distinct ``(min, max)`` endpoint pairs of a mirrored batch."""
-    return {
-        (min(u.source, u.target), max(u.source, u.target)) for u in updates
-    }
-
-
-__all__ = ["CCView", "undirected_pairs"]
+__all__ = ["CCView"]

@@ -89,9 +89,10 @@ class ViewManager:
         ``"pagerank"``, ``"khop"``); ``params`` are kind-specific (see each
         view class).  ``refresh`` is ``"eager"`` (repair inside every
         ``apply_updates``) or ``"lazy"`` (repair on read).  The graph must
-        already be registered; CC views force the undirected sibling into
-        existence so subsequent batches are mirrored onto it.  View names
-        are unique per manager.
+        already be registered.  Every kind reads the registered directed
+        topology (a CC view reads edge direction away itself), so no view
+        builds the undirected CC sibling.  View names are unique per
+        manager.
         """
         if name in self._registrations:
             raise ValueError(f"view {name!r} is already registered")
@@ -102,9 +103,7 @@ class ViewManager:
             raise ValueError(
                 f"refresh must be one of {REFRESH_POLICIES}, got {refresh!r}"
             )
-        context = GraphContext(
-            self.registry, graph, undirected=(kind == CCView.kind)
-        )
+        context = GraphContext(self.registry, graph)
         context.entry  # resolve now: unknown graphs raise KeyError here
         view = VIEW_KINDS[kind](name, context, params or {})
         view.rebuild()

@@ -364,3 +364,54 @@ def test_compaction_pass_interleaves_reads_between_nodes():
         "the pass is holding the service lock across nodes"
     )
     service.close()
+
+
+def test_drop_view_waits_for_an_in_flight_view_repair():
+    """``drop_view`` takes the service lock.
+
+    A writer fans each batch out over the registered views while holding
+    the lock.  A drop racing that fan-out must wait for it: otherwise the
+    writer's view loop fails with "dictionary changed size during
+    iteration" after the overlays absorbed the batch, and the views after
+    the dropped one go unrepaired.
+    """
+    graph = web_locality_graph(48, avg_degree=4.0, seed=5)
+    service = TraversalService()
+    service.register_graph("g", graph)
+    service.register_view("blocker", "g", kind="khop", params={"source": 0})
+    service.register_view("dropped", "g", kind="khop", params={"source": 1})
+    service.register_view("last", "g", kind="cc")
+    entered = threading.Event()
+    release = threading.Event()
+    blocker = service.views._registrations["blocker"].view
+    repair = blocker.apply_delta
+
+    def blocking_repair(record):
+        entered.set()
+        assert release.wait(timeout=30)
+        repair(record)
+
+    blocker.apply_delta = blocking_repair
+    errors: list[BaseException] = []
+
+    def writer():
+        try:
+            service.apply_updates("g", [EdgeUpdate.insert(0, 40)])
+        except BaseException as error:  # surfaced by the assertion below
+            errors.append(error)
+
+    writing = threading.Thread(target=writer)
+    writing.start()
+    assert entered.wait(timeout=30)
+    dropping = threading.Thread(target=service.drop_view, args=("dropped",))
+    dropping.start()
+    dropping.join(timeout=0.2)
+    drop_waited = dropping.is_alive()
+    release.set()
+    writing.join(timeout=30)
+    dropping.join(timeout=30)
+    assert not errors, errors
+    assert drop_waited, "drop_view ran while the writer held the service lock"
+    assert service.views.names() == ["blocker", "last"]
+    assert service.view_stats("last").batches_consumed == 1
+    service.close()

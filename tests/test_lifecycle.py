@@ -37,6 +37,7 @@ from repro.lifecycle import (
 )
 from repro.server import FrontDoor
 from repro.store import StoreError, StoreFormatError, read_manifest
+from repro.store.format import MAGIC_CDC, write_header, write_json_block
 from repro.store.snapshot import (
     MANIFEST_VERSION,
     base_file_name,
@@ -437,6 +438,51 @@ class TestCDC:
                 np.array(_levels(service, "g")),
                 np.array(_levels(follower, "g")),
             )
+        service.close()
+
+    def test_follower_replays_old_frames_carrying_mirror_applied(
+        self, tmp_path
+    ):
+        """Logs written before frames dropped ``mirror_applied`` still
+        replay: readers never read that key.  New frames do not carry it,
+        and the CDC format version is unchanged."""
+        rng = random.Random(19)
+        service = _service(_graph(19))
+        service.save_graph("g", tmp_path / "snap")
+        service.start_cdc_export("g", tmp_path / "g.cdc")
+        for _ in range(4):
+            service.apply_updates("g", _batch(rng, 60))
+        records = read_cdc_records(tmp_path / "g.cdc")
+        assert len(records) == 4
+        assert all("mirror_applied" not in record for record in records)
+        assert (tmp_path / "g.cdc").read_bytes()[8:12] == (1).to_bytes(4, "little")
+
+        with open(tmp_path / "old.cdc", "wb") as handle:
+            write_header(handle, MAGIC_CDC)
+            for record in records:
+                mirror = [
+                    [kind, source, target]
+                    for kind, source, target in record["applied"]
+                ] + [
+                    [kind, target, source]
+                    for kind, source, target in record["applied"]
+                ]
+                write_json_block(handle, {**record, "mirror_applied": mirror})
+
+        with FollowerReplica(tmp_path / "snap", tmp_path / "g.cdc") as new, \
+                FollowerReplica(tmp_path / "snap", tmp_path / "old.cdc") as old:
+            assert new.catch_up() == 4
+            assert old.catch_up() == 4
+            primary = service.registry.resolve("g")
+            for follower in (new, old):
+                entry = follower.service.registry.resolve("g")
+                assert entry.adjacency() == primary.adjacency()
+                assert entry.num_edges == primary.num_edges
+                for source in (0, 7, 33):
+                    assert np.array_equal(
+                        np.array(_levels(service, "g", source)),
+                        np.array(_levels(follower, "g", source)),
+                    )
         service.close()
 
     def test_follower_tracks_primary_across_rebase(self, tmp_path):

@@ -35,7 +35,7 @@ from repro.graph.generators import (
     web_locality_graph,
 )
 from repro.graph.graph import Graph
-from repro.service import TraversalService
+from repro.service import CCQuery, TraversalService
 from repro.views.base import GraphContext
 
 SOURCE = 0
@@ -408,6 +408,89 @@ def test_cc_repair_scope_violation_raises(monkeypatch):
     monkeypatch.setattr(GraphContext, "gather_adjacency", leaky_gather)
     with pytest.raises(RuntimeError, match="CC repair scope violated"):
         service.apply_updates("g", [EdgeUpdate.delete(1, 2)])
+
+
+@pytest.mark.parametrize("shards", [None, 2], ids=["flat", "shards2"])
+@pytest.mark.parametrize("refresh", ["eager", "lazy"])
+def test_cc_view_builds_no_undirected_sibling(shards, refresh):
+    """A CC view reads the directed entry: registering it and maintaining
+    it through mixed batches leaves the undirected CC sibling unbuilt,
+    until the first ``CCQuery`` asks for it."""
+    graph = GRAPH_FAMILIES["web"]()
+    service = TraversalService()
+    service.register_graph("g", graph, shards=shards)
+    service.register_view("cc", "g", kind="cc", refresh=refresh)
+    entry = service.registry.resolve("g")
+    assert entry.undirected is None
+    assert service.stats().graphs_resident == 1
+
+    rng = np.random.default_rng(41)
+    model = graph
+    for _ in range(5):
+        batch = _make_batch(rng, model, delete_bias=0.5)
+        model = model.with_edge_updates(service.apply_updates("g", batch).applied)
+        labels = service.view_result("cc").value
+        assert np.array_equal(
+            labels, reference_components(model.to_undirected().adjacency())
+        )
+        assert entry.undirected is None
+        assert service.stats().graphs_resident == 1
+
+    [answer] = service.submit([CCQuery("g")])
+    assert entry.undirected is not None
+    assert service.stats().graphs_resident == 2
+    assert np.array_equal(answer.value.labels, labels)
+
+
+@pytest.mark.parametrize("shards", [None, 2], ids=["flat", "shards2"])
+def test_cc_delete_with_live_reverse_edge_is_skipped(shards):
+    """Deleting ``u -> v`` while ``v -> u`` lives removes no undirected
+    edge: the batch is skipped without repair.  Deleting ``v -> u`` next
+    removes the edge, and the repair splits the component."""
+    # 0 <-> 1 -> 2 form one component; 3, 4, 5 are a second one.
+    graph = Graph([[1], [0, 2], [], [4], [5], []])
+    service = TraversalService()
+    service.register_graph("g", graph, shards=shards)
+    service.register_view("cc", "g", kind="cc")
+    stats = service.view_stats("cc")
+
+    service.apply_updates("g", [EdgeUpdate.delete(0, 1)])
+    assert stats.skipped_batches == 1
+    assert stats.incremental_batches == 0
+    assert stats.repair_fanout == 0
+    assert np.array_equal(service.view_result("cc").value,
+                          np.array([0, 0, 0, 3, 3, 3]))
+
+    service.apply_updates("g", [EdgeUpdate.delete(1, 0)])
+    assert stats.skipped_batches == 1
+    assert stats.incremental_batches == 1
+    assert stats.repair_fanout == 3  # the members of {0, 1, 2} only
+    assert np.array_equal(service.view_result("cc").value,
+                          np.array([0, 1, 1, 3, 3, 3]))
+
+
+def test_lazy_cc_span_reads_reverse_edges_at_drain_time():
+    """A lazy CC view drains its span against the current topology: a
+    delete whose reverse edge a later batch inserted removes no undirected
+    edge by drain time, so the drain repairs nothing and still matches a
+    from-scratch recompute."""
+    graph = Graph([[1], [2], [], [4], []])
+    service = TraversalService()
+    service.register_graph("g", graph)
+    service.register_view("cc", "g", kind="cc", refresh="lazy")
+
+    service.apply_updates("g", [EdgeUpdate.delete(0, 1)])  # splits off 0
+    service.apply_updates("g", [EdgeUpdate.insert(1, 0)])  # joins it back
+    model = graph.with_edge_updates(
+        [EdgeUpdate.delete(0, 1), EdgeUpdate.insert(1, 0)]
+    )
+    assert np.array_equal(
+        service.view_result("cc").value,
+        reference_components(model.to_undirected().adjacency()),
+    )
+    stats = service.view_stats("cc")
+    assert stats.incremental_batches == 1
+    assert stats.repair_fanout == 0
 
 
 def test_exact_pagerank_skips_batches_outside_support():
