@@ -623,7 +623,10 @@ class DeltaOverlay:
                         "data_start_bit": segment.data_start_bit,
                         "count": segment.count,
                         "count_bits": segment.count_bits,
-                        "decoded": [list(entry) for entry in segment.decoded],
+                        "decoded": [
+                            list(entry) for entry in
+                            zip(segment.ids, segment.starts, segment.bits)
+                        ],
                     },
                 }
             deltas.append({
@@ -705,12 +708,12 @@ class DeltaOverlay:
                     version=int(encoded_run["version"]),
                     total_bits=int(encoded_run["total_bits"]),
                     segment=ResidualSegmentPlan(
-                        data_start_bit=int(segment["data_start_bit"]),
-                        count=int(segment["count"]),
-                        count_bits=int(segment["count_bits"]),
-                        decoded=tuple(
-                            (int(n), int(s), int(b))
-                            for n, s, b in segment["decoded"]
+                        int(segment["data_start_bit"]),
+                        int(segment["count"]),
+                        int(segment["count_bits"]),
+                        *(
+                            tuple(map(int, column))
+                            for column in zip(*segment["decoded"])
                         ),
                     ),
                 )
@@ -806,7 +809,7 @@ class DeltaOverlay:
         for interval in plan.intervals:
             result.extend(interval.nodes())
         for segment in plan.residual_segments:
-            result.extend(neighbor for neighbor, _, _ in segment.decoded)
+            result.extend(segment.ids)
         return result
 
     def _insert_segment(self, node: int, delta: NodeDelta) -> ResidualSegmentPlan:
@@ -828,7 +831,7 @@ class DeltaOverlay:
         The run uses the exact gap encoding of a residual segment (count
         field, then a zig-zagged first gap relative to the source and
         ``gap - 1`` followers), so the live warp-centric decoder can decode
-        it straight from the spliced bits; the pre-decoded tuples let every
+        it straight from the spliced bits; the pre-decoded columns let every
         other strategy replay it without touching the stream.
         """
         scheme = self.config.scheme
@@ -836,7 +839,9 @@ class DeltaOverlay:
         ordered = sorted(inserts)
         scheme.encode(writer, to_vlc_value(len(ordered)))
         count_bits = writer.bit_length
-        relative: list[tuple[int, int, int]] = []
+        offset = len(self._bits)
+        starts: list[int] = []
+        bits: list[int] = []
         previous: int | None = None
         for index, neighbor in enumerate(ordered):
             start = writer.bit_length
@@ -845,18 +850,13 @@ class DeltaOverlay:
             else:
                 gap = neighbor - previous - 1
             scheme.encode(writer, to_vlc_value(gap))
-            relative.append((neighbor, start, writer.bit_length - start))
+            starts.append(offset + start)
+            bits.append(writer.bit_length - start)
             previous = neighbor
-        offset = len(self._bits)
         self._side.extend(writer)
         segment = ResidualSegmentPlan(
-            data_start_bit=offset + count_bits,
-            count=len(ordered),
-            count_bits=count_bits,
-            decoded=tuple(
-                (neighbor, offset + start, bits)
-                for neighbor, start, bits in relative
-            ),
+            offset + count_bits, len(ordered), count_bits,
+            tuple(ordered), tuple(starts), tuple(bits),
         )
         return _InsertRun(
             version=version, segment=segment, total_bits=writer.bit_length

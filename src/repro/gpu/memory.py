@@ -45,24 +45,35 @@ class DeviceMemory:
         self.metrics = metrics
         self.cache_line_bytes = cache_line_bytes
         self.word_bytes = word_bytes
+        #: Words per cache line: word addresses coalesce by ``// words_per_line``.
+        self.words_per_line = max(1, cache_line_bytes // word_bytes)
         self.cache_capacity = max(0, cache_lines)
-        self._cache: dict[tuple[str, int], None] = {}
+        self._cache: dict[tuple[str, int], bool] = {}
 
-    def _charge_lines(self, space: str, lines: set[int]) -> int:
-        """Charge transactions for the lines not already cached; return count."""
+    def charge_lines(self, space: str, lines: Iterable[int]) -> int:
+        """Charge one warp-wide access to ``lines`` of ``space``; return
+        the transactions it cost.
+
+        Lines already cached are free and move to the back of the FIFO; each
+        other line costs one transaction and is cached, evicting the oldest
+        line once the cache is full.  Lines are visited in iteration order,
+        which decides the cache state, so callers pass the same set
+        (built in the same order) for the same access.
+        """
+        cache = self._cache
+        capacity = self.cache_capacity
         missed = 0
         for line in lines:
             key = (space, line)
-            if key in self._cache:
+            if cache.pop(key, False):
                 # Refresh recency by reinserting at the back of the FIFO.
-                self._cache.pop(key)
-                self._cache[key] = None
+                cache[key] = True
                 continue
             missed += 1
-            if self.cache_capacity:
-                self._cache[key] = None
-                if len(self._cache) > self.cache_capacity:
-                    self._cache.pop(next(iter(self._cache)))
+            if capacity:
+                cache[key] = True
+                if len(cache) > capacity:
+                    del cache[next(iter(cache))]
         self.metrics.memory_transactions += missed
         return missed
 
@@ -80,10 +91,10 @@ class DeviceMemory:
         addresses = list(word_addresses)
         if not addresses:
             return 0
-        words_per_line = max(1, self.cache_line_bytes // self.word_bytes)
+        words_per_line = self.words_per_line
         lines = {address // words_per_line for address in addresses}
         self.metrics.memory_words += len(addresses)
-        return self._charge_lines(space, lines)
+        return self.charge_lines(space, lines)
 
     def access_word(self, word_address: int, space: str = "words") -> int:
         """Record a single-lane word access (always one transaction)."""
@@ -116,7 +127,7 @@ class DeviceMemory:
         if not lines:
             return 0
         self.metrics.memory_words += words
-        return self._charge_lines("bits", lines)
+        return self.charge_lines("bits", lines)
 
     def access_bit_range(self, start_bit: int, num_bits: int) -> int:
         """Record a single-lane read of one bit range."""

@@ -864,10 +864,17 @@ class FrontDoor:
             kind, match = "pagerank", {"source": query.source}
         else:
             return False
-        name = self.service.views.find(query.graph, kind, match)
+        # Neither read takes the service lock: find iterates a copy of the
+        # registrations, and peek serves the answer the view published at
+        # the end of its last build or repair, never its working state.
+        views = self.service.views
+        name = views.find(query.graph, kind, match)
         if name is None:
             return False
-        view_result = self.service.views.peek(name)
+        try:
+            view_result = views.peek(name)
+        except KeyError:  # dropped since find
+            return False
         if view_result.staleness > self.degraded_staleness:
             return False
         request.root_span.child(

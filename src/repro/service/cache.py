@@ -4,8 +4,8 @@ Decoding a node's compressed adjacency list -- walking its interval
 descriptors and locating every residual segment -- is a pure function of the
 graph *at one point in time*, yet the seed paid it on every query that
 touched the node.  The service keeps one :class:`DecodedAdjacencyCache` per
-registered graph and plugs it into the engine's
-:meth:`~repro.traversal.gcgt.GCGTEngine.node_plan` hook, so a hot node's
+registered graph and plugs it into the engine's window plan resolution
+(:meth:`~repro.traversal.gcgt.GCGTEngine.resolve_plans`), so a hot node's
 structural decode is paid once per graph, not once per query.
 
 Dynamic graphs add a second axis: when an update batch mutates a node, its
@@ -15,14 +15,14 @@ a lookup whose epoch differs from the cached one drops the stale plan,
 counts an *invalidation* and rebuilds.  Static graphs always look up at
 epoch 0, which degenerates to the plain LRU behaviour.
 
-Misses are usually not decoded one at a time.  Before a frontier window
-runs, the engine (:meth:`~repro.traversal.gcgt.GCGTEngine.prefetch_plans`)
-decodes in one vectorized batch the plans the window's lookups will miss.
-Each such lookup then receives its plan from ``build`` and is told its share
-of the batch time (``decode_ns``).  The cache itself is unchanged:
-lookups arrive in the same order, hit and miss as they would without the
-batch, and ``miss_decode_ns`` and the ``decode_miss`` events still add up
-to the decode time actually spent.
+Lookups arrive a frontier window at a time.  The engine reads the window's
+epochs once, decodes in one vectorized batch the plans the window will miss,
+and hands both to :meth:`DecodedAdjacencyCache.resolve`, which replays the
+LRU in lookup order: every lookup hits, misses, evicts or invalidates
+exactly as if the nodes were looked up one at a time, a miss
+takes its batch plan (charged its share of the batch time) or builds one,
+and ``miss_decode_ns`` and the ``decode_miss`` events add up to the decode
+time actually spent.
 
 The *simulated* decode cost the strategies charge is unaffected: plans only
 describe where the bits are; every strategy still charges the warp for the
@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.traversal.context import NodePlan
 
@@ -108,63 +108,94 @@ class DecodedAdjacencyCache:
 
     # -- PlanCache protocol ---------------------------------------------------
 
-    def lookup(
+    def resolve(
         self,
-        node: int,
-        build: Callable[[], NodePlan],
-        epoch: int = 0,
-        decode_ns: int = 0,
-    ) -> NodePlan:
-        """The plan for ``node`` at ``epoch``, building and inserting on a miss.
+        nodes: Sequence[int],
+        epochs: Sequence[int],
+        build: Callable[[int], NodePlan],
+        decoded: dict[int, tuple[NodePlan, int]] | None = None,
+    ) -> list[NodePlan]:
+        """The plans of ``nodes``, looked up one by one in order.
 
-        A resident plan from a *different* epoch is stale -- the node mutated
-        since it was decoded -- so it is dropped (counted as an
-        invalidation), rebuilt via ``build`` and re-inserted under the new
-        epoch.
+        ``nodes[i]`` is looked up at ``epochs[i]`` (its current mutation
+        epoch).  A plan resident at that epoch is a hit and becomes the
+        most recently used entry.  A resident plan from a *different* epoch
+        is stale -- the node mutated since it was decoded -- so it is
+        dropped (counted as an invalidation) and the lookup misses.  A miss
+        inserts the new plan under the lookup's epoch, evicting the least
+        recently used entry when the cache is full.
 
-        ``decode_ns`` is decode time already spent on the plan ``build``
-        returns -- the node's share of a batch decode, when the engine
-        decoded a frontier window's misses together and ``build`` just hands
-        the plan over.  A miss charges it with ``build``'s own time, to
-        ``miss_decode_ns`` and to the ``decode_miss`` event alike.
+        A miss takes its plan from ``decoded`` when the node is there: a
+        plan batch-decoded before the window, paired with its share of the
+        batch time in nanoseconds, consumed by the node's first miss.  Any
+        other miss calls ``build(node)`` and is charged the build's own
+        time.  Either charge goes to ``miss_decode_ns`` and to the miss's
+        ``decode_miss`` event.
 
         A ``build`` that raises counts as a *build failure*, not a miss (no
         plan was produced or inserted, so counting a miss would skew
         ``hits + misses`` against actual lookup outcomes); the time spent in
-        the failing ``build`` is still charged to ``miss_decode_ns``, and
-        the exception propagates.
+        the failing ``build`` is still charged to ``miss_decode_ns``, the
+        lookups before it keep their counts, and the exception propagates.
         """
-        entry = self._plans.get(node)
-        if entry is not None:
-            cached_epoch, plan = entry
-            if cached_epoch == epoch:
-                self.hits += 1
-                self._plans.move_to_end(node)
-                return plan
-            del self._plans[node]
-            self.invalidations += 1
-        began = time.perf_counter_ns()
-        try:
-            plan = build()
-        except BaseException:
-            self.miss_decode_ns += time.perf_counter_ns() - began + decode_ns
-            self.build_failures += 1
-            raise
-        elapsed = time.perf_counter_ns() - began + decode_ns
-        self.miss_decode_ns += elapsed
-        self.misses += 1
+        plans = self._plans
+        capacity = self.capacity
+        decoded = decoded if decoded is not None else {}
         tracer = self.tracer
+        span = None
         if tracer is not None and tracer.enabled:
             span = tracer.current()
-            if span is not None:
-                span.event(
-                    "decode_miss", node=node, epoch=epoch, decode_ns=elapsed
-                )
-        self._plans[node] = (epoch, plan)
-        if len(self._plans) > self.capacity:
-            self._plans.popitem(last=False)
-            self.evictions += 1
-        return plan
+        clock = time.perf_counter_ns
+        resolved: list[NodePlan] = []
+        hits = misses = evictions = invalidations = decode_ns = 0
+        try:
+            for node, epoch in zip(nodes, epochs):
+                entry = plans.get(node)
+                if entry is not None:
+                    if entry[0] == epoch:
+                        hits += 1
+                        plans.move_to_end(node)
+                        resolved.append(entry[1])
+                        continue
+                    del plans[node]
+                    invalidations += 1
+                ready = decoded.pop(node, None)
+                if ready is None:
+                    began = clock()
+                    try:
+                        plan = build(node)
+                    except BaseException:
+                        decode_ns += clock() - began
+                        self.build_failures += 1
+                        raise
+                    elapsed = clock() - began
+                else:
+                    plan, elapsed = ready
+                decode_ns += elapsed
+                misses += 1
+                if span is not None:
+                    span.event(
+                        "decode_miss", node=node, epoch=epoch, decode_ns=elapsed
+                    )
+                plans[node] = (epoch, plan)
+                if len(plans) > capacity:
+                    plans.popitem(last=False)
+                    evictions += 1
+                resolved.append(plan)
+        finally:
+            self.hits += hits
+            self.misses += misses
+            self.evictions += evictions
+            self.invalidations += invalidations
+            self.miss_decode_ns += decode_ns
+        return resolved
+
+    def lookup(
+        self, node: int, build: Callable[[], NodePlan], epoch: int = 0
+    ) -> NodePlan:
+        """The plan for ``node`` at ``epoch``, building and inserting on a
+        miss: a one-node :meth:`resolve` whose miss calls ``build()``."""
+        return self.resolve((node,), (epoch,), lambda _: build())[0]
 
     def invalidate(self, node: int) -> bool:
         """Drop the resident plan of ``node``, if any.

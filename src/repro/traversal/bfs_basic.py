@@ -52,7 +52,7 @@ def build_lane_ops(ctx: ExpandContext, plan: NodePlan) -> list[LaneOp]:
         ops.append(LaneOp(OP_DECODE_INTERVAL, bit_range=descriptor_bits))
         for neighbor in interval.nodes():
             ops.append(LaneOp(OP_HANDLE, pair=(source, neighbor)))
-    residual_state = LaneResidualState.from_plan(ctx, plan)
+    residual_state = LaneResidualState.from_plan(plan)
     while residual_state.remaining > 0:
         neighbor, bit_range = residual_state.decode_next()
         ops.append(LaneOp(OP_DECODE_RESIDUAL, bit_range=bit_range))

@@ -3,18 +3,26 @@
 Every scheduling strategy (Algorithms 1-3, warp-centric decoding, residual
 segmentation) processes one warp-sized chunk of frontier nodes at a time.
 :class:`ExpandContext` carries what they all need -- the CGR graph, the
-simulated warp, the application's filter callback and the output queue -- and
-provides the three cost-accounted building blocks the paper's step diagrams
-(Figure 4) are made of:
+simulated warp, the application's filter callback, the output queue and the
+chunk's resolved plans -- and provides the cost-accounted building blocks
+the paper's step diagrams (Figure 4) are made of:
 
 * a *frontier load* step (read ``inQueue`` and ``bitStart`` from device memory);
-* a *decode* step (lanes read bits of the compressed stream);
+* *decode* rounds (lanes read bits of the compressed stream):
+  :meth:`ExpandContext.decode_rounds` charges lock-step rounds straight from
+  per-lane code columns, and :meth:`ExpandContext.decode_step` is its
+  one-round form;
 * a *handle* step (``appendIfUnvisited``: check/update application state and
-  cooperatively append qualified neighbours to ``outQueue``).
+  cooperatively append qualified neighbours to ``outQueue``):
+  :meth:`ExpandContext.handle` takes the active lanes' pairs, and
+  :meth:`ExpandContext.handle_step` is its ``None``-padded form.
 
 :func:`build_node_plan` performs the structural decode shared by all
 strategies: where a node's intervals are and where each residual segment
-starts, together with the bit extents needed for memory accounting.
+starts, together with the bit extents needed for memory accounting.  Each
+:class:`ResidualSegmentPlan` carries its pre-decoded residuals as three flat
+columns (neighbour ids, code start bits, code lengths), so a plan holds three
+tuples per segment rather than one per residual code.
 :func:`build_node_plans` builds the same plans for many nodes from one
 vectorized layout walk; the scalar builder stays its test oracle.
 """
@@ -56,12 +64,16 @@ class ResidualSegmentPlan:
     #: Bits occupied by the segment's count field (``resNum``), 0 when the
     #: layout stores the count elsewhere (unsegmented graphs).
     count_bits: int = 0
-    #: Pre-decoded residuals as ``(neighbor, bit_start, bit_length)`` tuples.
-    #: :func:`build_node_plan` fills this so lanes *replay* the decode -- the
-    #: strategies still charge every decode round for exactly these bit
-    #: ranges, but the host-side bit walking is paid once per plan, which is
-    #: once per graph when the plan sits in a decoded-adjacency cache.
-    decoded: tuple[tuple[int, int, int], ...] = ()
+    #: Pre-decoded residuals as three parallel columns: neighbour ids, the
+    #: bit offset where each residual's code starts, and each code's length
+    #: in bits.  Every plan builder fills them (``count`` entries each) so
+    #: lanes *replay* the decode -- the strategies still charge every decode
+    #: round for exactly these bit ranges, but the host-side bit walking is
+    #: paid once per plan, which is once per graph when the plan sits in a
+    #: decoded-adjacency cache.
+    ids: tuple[int, ...] = ()
+    starts: tuple[int, ...] = ()
+    bits: tuple[int, ...] = ()
 
 
 @dataclass
@@ -110,9 +122,8 @@ def build_node_plan(graph: CGRGraph, node: int) -> NodePlan:
         remaining = degree - plan.interval_coverage
         plan.residual_segments.append(
             ResidualSegmentPlan(
-                data_start_bit=cursor.position,
-                count=remaining,
-                decoded=_predecode_residual_run(cursor, node, remaining),
+                cursor.position, remaining, 0,
+                *_predecode_residual_run(cursor, node, remaining),
             )
         )
         return plan
@@ -127,10 +138,8 @@ def build_node_plan(graph: CGRGraph, node: int) -> NodePlan:
         count, count_bits = seg_cursor.decode_num()
         plan.residual_segments.append(
             ResidualSegmentPlan(
-                data_start_bit=seg_cursor.position,
-                count=count,
-                count_bits=count_bits,
-                decoded=_predecode_residual_run(seg_cursor, node, count),
+                seg_cursor.position, count, count_bits,
+                *_predecode_residual_run(seg_cursor, node, count),
             )
         )
     plan.degree = plan.interval_coverage + plan.residual_count
@@ -142,8 +151,8 @@ def build_node_plans(graph: CGRGraph, nodes: Sequence[int]) -> list[NodePlan]:
 
     Element-wise equal to ``[build_node_plan(graph, node) for node in
     nodes]`` -- intervals, descriptor extents, header extent, segments,
-    count fields and every residual's ``(neighbor, start, bits)`` replay
-    tuple -- but the codes of all nodes are decoded together
+    count fields and every segment's residual columns -- but the codes of
+    all nodes are decoded together
     (:meth:`repro.compression.vectorized.LayoutDecoder.walk` over the
     graph's resident
     :meth:`~repro.compression.cgr.CGRGraph.layout_decoder`), so the
@@ -154,22 +163,22 @@ def build_node_plans(graph: CGRGraph, nodes: Sequence[int]) -> list[NodePlan]:
     """
     walk = graph.layout_decoder().walk(np.asarray(nodes, dtype=np.int64), True)
     # Every object is built in one flat pass per kind (C-level ``map`` /
-    # ``zip``); the per-node loop only slices the flat lists.
-    replay = list(zip(
-        walk.residual_ids.tolist(),
-        walk.residual_starts.tolist(),
-        (walk.residual_ends - walk.residual_starts).tolist(),
-    ))
+    # ``zip``); the per-node loop only slices the flat lists.  Slicing a
+    # tuple gives a tuple, so each segment's columns are three slices of
+    # the window's flat columns.
     res_bounds = np.cumsum(walk.run_counts).tolist()
+    runs = list(map(slice, [0] + res_bounds, res_bounds))
+    ids = tuple(walk.residual_ids.tolist())
+    starts = tuple(walk.residual_starts.tolist())
+    bits = tuple((walk.residual_ends - walk.residual_starts).tolist())
     segments = list(map(
         ResidualSegmentPlan,
         walk.run_data_start.tolist(),
         walk.run_counts.tolist(),
         walk.run_count_bits.tolist(),
-        [
-            tuple(replay[begin:end])
-            for begin, end in zip([0] + res_bounds, res_bounds)
-        ],
+        map(ids.__getitem__, runs),
+        map(starts.__getitem__, runs),
+        map(bits.__getitem__, runs),
     ))
     intervals = list(map(
         Interval, walk.interval_starts.tolist(), walk.interval_lengths.tolist()
@@ -210,8 +219,8 @@ def build_node_plans(graph: CGRGraph, nodes: Sequence[int]) -> list[NodePlan]:
 
 def _predecode_residual_run(
     cursor: CGRCursor, source: int, count: int
-) -> tuple[tuple[int, int, int], ...]:
-    """Decode ``count`` residual gaps once, recording value and bit extent.
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Decode ``count`` residual gaps once; return ``(ids, starts, bits)``.
 
     ``cursor`` must sit on the first gap; it is advanced past the run (which
     is harmless for every caller -- nothing of the node's layout follows a
@@ -222,16 +231,16 @@ def _predecode_residual_run(
     rounds the strategies charge are byte-for-byte what the seed charged.
     """
     if count <= 0:
-        return ()
+        return (), (), ()
     reader = cursor.reader
-    previous_end = reader.position
+    starts = [reader.position]
     values, ends = cursor.scheme.decode_run_positions(reader, count)
-    ids = gap_decode_vlc_run(values, source)
-    decoded: list[tuple[int, int, int]] = []
-    for neighbor, end in zip(ids, ends):
-        decoded.append((neighbor, previous_end, end - previous_end))
-        previous_end = end
-    return tuple(decoded)
+    starts.extend(ends[:-1])
+    return (
+        tuple(gap_decode_vlc_run(values, source)),
+        tuple(starts),
+        tuple(map(int.__sub__, ends, starts)),
+    )
 
 
 def _decode_interval_descriptors(
@@ -256,13 +265,6 @@ def _decode_interval_descriptors(
         previous_end = start + length - 1
 
 
-#: Pluggable structural-decode source: ``plan_source(node) -> NodePlan``.
-#: Engines that keep decoded plans resident (see
-#: :class:`repro.service.cache.DecodedAdjacencyCache`) supply one so hot nodes are
-#: decoded once per graph instead of once per query.
-PlanSource = Callable[[int], NodePlan]
-
-
 class ExpandContext:
     """Per-iteration state handed to an expansion strategy."""
 
@@ -272,22 +274,23 @@ class ExpandContext:
         warp: Warp,
         filter_fn: FilterFn,
         out_queue: FrontierQueue,
-        plan_source: PlanSource | None = None,
     ) -> None:
         self.graph = graph
         self.warp = warp
         self.filter_fn = filter_fn
         self.out_queue = out_queue
-        #: Where :meth:`node_plan` gets plans; ``None`` decodes directly.
-        #: The engine swaps it per frontier window (see
-        #: :meth:`repro.traversal.gcgt.TraversalSession.expand`).
-        self.plan_source = plan_source
+        #: Plans of the chunk about to be expanded, in chunk order.  The
+        #: engine resolves a whole frontier window's plans in one cache pass
+        #: and sets each chunk's slice here (see
+        #: :meth:`repro.traversal.gcgt.TraversalSession.expand`); ``None``
+        #: makes :meth:`chunk_plans` decode each plan directly.
+        self.resolved: Sequence[NodePlan] | None = None
 
-    def node_plan(self, node: int) -> NodePlan:
-        """The structural decode of ``node``, via the plan source when set."""
-        if self.plan_source is not None:
-            return self.plan_source(node)
-        return build_node_plan(self.graph, node)
+    def chunk_plans(self, chunk: Sequence[int]) -> Sequence[NodePlan]:
+        """The structural decode of every node of ``chunk``, in order."""
+        if self.resolved is not None:
+            return self.resolved
+        return [build_node_plan(self.graph, node) for node in chunk]
 
     # -- cost-accounted building blocks ---------------------------------------
 
@@ -302,51 +305,120 @@ class ExpandContext:
             (int(node) for node in nodes), space="bit_offsets"
         )
 
+    def decode_rounds(
+        self, starts: Sequence[Sequence[int]], bits: Sequence[Sequence[int]]
+    ) -> None:
+        """Charge lock-step serial-decode rounds over per-lane code columns.
+
+        Lane ``j`` decodes the codes ``(starts[j][i], bits[j][i])`` in
+        order; round ``i`` runs every lane that still has an ``i``-th code,
+        while exhausted lanes sit divergence-idle.  Serially decoding a VLC
+        value is a bit-by-bit scan, so a round costs
+        ``ceil(longest_code / DECODE_BITS_PER_ROUND)`` (at least one)
+        lock-step rounds of its active lanes, and its codes' bit ranges are
+        one warp-wide read: the cache lines they touch, gathered in lane
+        order, are charged with
+        :meth:`~repro.gpu.memory.DeviceMemory.charge_lines` exactly as
+        :meth:`~repro.gpu.memory.DeviceMemory.access_bit_ranges` charges
+        them.  The counters are summed over all rounds and written once.
+        """
+        warp = self.warp
+        size = warp.size
+        memory = warp.memory
+        line_bits = memory.cache_line_bytes * 8
+        word_bits = memory.word_bytes * 8
+        charge_lines = memory.charge_lines
+        lanes = [lane for lane in zip(starts, bits) if lane[1]]
+        if len(lanes) > size:
+            raise ValueError(f"{len(lanes)} active lanes exceed warp size {size}")
+        index = rounds_total = active_slots = words = 0
+        while lanes:
+            lines: set[int] = set()
+            add = lines.add
+            longest = 0
+            for lane_starts, lane_bits in lanes:
+                num_bits = lane_bits[index]
+                if num_bits > longest:
+                    longest = num_bits
+                if num_bits > 0:
+                    start = lane_starts[index]
+                    first = start // line_bits
+                    last = (start + num_bits - 1) // line_bits
+                    if first == last:
+                        add(first)
+                    else:
+                        lines.update(range(first, last + 1))
+                    words += (num_bits + word_bits - 1) // word_bits
+            rounds = -(-longest // DECODE_BITS_PER_ROUND) or 1
+            rounds_total += rounds
+            active_slots += len(lanes) * rounds
+            if lines:
+                charge_lines("bits", lines)
+            index += 1
+            lanes = [lane for lane in lanes if len(lane[1]) > index]
+        metrics = warp.metrics
+        metrics.instruction_rounds += rounds_total
+        metrics.active_lane_slots += active_slots
+        metrics.idle_lane_slots += size * rounds_total - active_slots
+        memory.metrics.memory_words += words
+
     def decode_step(self, bit_ranges: Sequence[tuple[int, int] | None]) -> None:
         """One serial-decode round per lane; ``None`` marks an idle lane.
 
-        Serially decoding a VLC value is a bit-by-bit scan, so its instruction
-        cost grows with the code length: the warp is charged
-        ``ceil(longest_code / DECODE_BITS_PER_ROUND)`` lock-step rounds, all
-        with the same set of active lanes (the others are divergence-idle).
+        The one-round form of :meth:`decode_rounds`: each active lane
+        decodes the single code ``(start_bit, num_bits)``.
         """
-        active = [r for r in bit_ranges if r is not None]
-        if not active:
-            return
-        longest = max(num_bits for _, num_bits in active)
-        rounds = max(1, -(-longest // DECODE_BITS_PER_ROUND))
-        self.warp.step_rounds(len(active), rounds)
-        self.warp.memory.access_bit_ranges(active)
-
-    def handle_step(self, pairs: Sequence[tuple[int, int] | None]) -> int:
-        """One ``appendIfUnvisited`` round over per-lane ``(source, neighbor)`` pairs.
-
-        Returns the number of neighbours appended to the output queue.  The
-        cost model mirrors the paper: each active lane reads the neighbour's
-        label word, the warp runs one exclusive scan in shared memory, and a
-        single atomic reserves space in ``outQueue`` for all appended nodes.
-        """
-        active = [p for p in pairs if p is not None]
-        if not active:
-            return 0
-        self.warp.step(active_lanes=len(active))
-        self.warp.memory.access_words(
-            (neighbor for _, neighbor in active), space="labels"
+        active = [bit_range for bit_range in bit_ranges if bit_range is not None]
+        self.decode_rounds(
+            [(start,) for start, _ in active], [(num_bits,) for _, num_bits in active]
         )
-        self.warp.memory.shared_access(len(active))
 
+    def handle(self, pairs: Sequence[tuple[int, int]]) -> int:
+        """One ``appendIfUnvisited`` round over the active lanes' pairs.
+
+        ``pairs`` holds one ``(source, neighbor)`` pair per active lane (at
+        most the warp width).  Returns the number of neighbours appended to
+        the output queue.  The cost model mirrors the paper: each active
+        lane reads the neighbour's label word, the warp runs one exclusive
+        scan in shared memory, and a single atomic reserves space in
+        ``outQueue`` for all appended nodes.
+        """
+        count = len(pairs)
+        if not count:
+            return 0
+        warp = self.warp
+        size = warp.size
+        if count > size:
+            raise ValueError(f"{count} active lanes exceed warp size {size}")
+        metrics = warp.metrics
+        metrics.instruction_rounds += 1
+        metrics.active_lane_slots += count
+        metrics.idle_lane_slots += size - count
+        # Label words coalesce by cache line, as DeviceMemory.access_words.
+        memory = warp.memory
+        per_line = memory.words_per_line
+        memory.metrics.memory_words += count
+        memory.charge_lines(
+            "labels", {neighbor // per_line for _, neighbor in pairs}
+        )
+        memory.metrics.shared_memory_accesses += count
+
+        filter_fn = self.filter_fn
+        pending = self.out_queue.pending
         appended = 0
-        for source, neighbor in active:
-            if self.filter_fn(source, neighbor):
-                self.out_queue.append(neighbor)
+        for source, neighbor in pairs:
+            if filter_fn(source, neighbor):
+                pending.append(neighbor)
                 appended += 1
         if appended:
-            self.warp.memory.atomic_add(1)
-            base = len(self.out_queue.pending) - appended
-            self.warp.memory.access_words(
-                range(base, base + appended), space="out_queue"
-            )
+            memory.atomic_add(1)
+            base = len(pending) - appended
+            memory.access_words(range(base, base + appended), space="out_queue")
         return appended
+
+    def handle_step(self, pairs: Sequence[tuple[int, int] | None]) -> int:
+        """:meth:`handle` over per-lane pairs; ``None`` marks an idle lane."""
+        return self.handle([pair for pair in pairs if pair is not None])
 
     # -- helpers ----------------------------------------------------------------
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Protocol, Sequence
 
 from repro.compression.cgr import CGRConfig, CGRGraph
@@ -105,39 +106,36 @@ STRATEGY_LADDER: dict[str, GCGTConfig] = {
 }
 
 
-#: Warp chunks per frontier window.  Plans a window will miss are decoded
-#: in one vectorized batch before its chunks run: per chunk (32 nodes) the
-#: batch's fixed numpy cost eats the gain, at a few hundred nodes it is
-#: about 2-3x cheaper per node than the scalar builder.
+#: Warp chunks per frontier window.  A window's plans are resolved in one
+#: cache pass and the ones it will miss are decoded in one vectorized batch
+#: before its chunks run: per chunk (32 nodes) the batch's fixed numpy cost
+#: eats the gain, at a few hundred nodes it is about 2-3x cheaper per node
+#: than the scalar builder.
 PLAN_WINDOW_CHUNKS = 8
 
 #: Fewest predicted misses worth a batch decode; smaller sets stay on the
 #: scalar builder, which is as fast there.
 MIN_PLAN_BATCH = 32
 
-#: Plans decoded ahead of their lookups: node -> (plan, nanoseconds of
-#: the batch decode charged to it).
-Prefetched = dict[int, tuple[NodePlan, int]]
-
 
 class PlanCache(Protocol):
     """What an engine needs from a decoded-plan cache (see
     :class:`repro.service.cache.DecodedAdjacencyCache` for the LRU implementation)."""
 
-    def lookup(
+    def resolve(
         self,
-        node: int,
-        build: Callable[[], NodePlan],
-        epoch: int = 0,
-        decode_ns: int = 0,
-    ) -> NodePlan:
-        """Return the cached plan for ``node``, building it on a miss.
+        nodes: Sequence[int],
+        epochs: Sequence[int],
+        build: Callable[[int], NodePlan],
+        decoded: dict[int, tuple[NodePlan, int]] | None = None,
+    ) -> list[NodePlan]:
+        """The plans of ``nodes``, looked up one by one in order.
 
-        ``epoch`` is the node's current mutation epoch (always 0 for static
-        graphs); a cached plan from a different epoch is stale and must be
-        rebuilt, never served.  ``decode_ns`` is decode time already spent
-        on ``build``'s plan (its share of a batch decode), charged with the
-        build on a miss.
+        ``epochs[i]`` is ``nodes[i]``'s current mutation epoch (always 0 for
+        static graphs); a cached plan from a different epoch is stale and
+        must be rebuilt, never served.  A miss takes its plan from
+        ``decoded`` (batch-decoded ahead, with its share of the batch
+        nanoseconds) when the node is there, else from ``build(node)``.
         """
         ...  # pragma: no cover - protocol
 
@@ -205,20 +203,15 @@ class TraversalSession:
         if engine._filter_wrapper is not None:
             filter_fn = engine._filter_wrapper(filter_fn)
         ctx = ExpandContext(engine.graph, warp, filter_fn, out_queue)
+        expand_chunk = engine.strategy.expand_chunk
         warp_size = engine.device.warp_size
         window = warp_size * PLAN_WINDOW_CHUNKS
         for window_begin in range(0, len(frontier), window):
             nodes = frontier[window_begin:window_begin + window]
-            prefetched = engine.prefetch_plans(nodes)
-            if prefetched:
-                ctx.plan_source = (
-                    lambda node: engine.node_plan(node, prefetched)
-                )
-            else:
-                ctx.plan_source = engine.node_plan
+            plans = engine.resolve_plans(nodes)
             for begin in range(0, len(nodes), warp_size):
-                chunk = list(nodes[begin:begin + warp_size])
-                engine.strategy.expand_chunk(ctx, chunk)
+                ctx.resolved = plans[begin:begin + warp_size]
+                expand_chunk(ctx, list(nodes[begin:begin + warp_size]))
         iteration_metrics.launches += 1
         self.metrics.merge(iteration_metrics)
         return out_queue.pending
@@ -252,15 +245,15 @@ class GCGTEngine:
         self.strategy = self.config.build_strategy()
         self.device.check_fits(self.graph.size_in_bytes(), what="CGR graph")
         #: Optional LRU cache of decoded :class:`NodePlan` objects shared by
-        #: every session on this engine (duck-typed: ``lookup(node, build)``).
+        #: every session on this engine (see :class:`PlanCache`).
         self.plan_cache = plan_cache
         # Dynamic-graph hooks (repro.dynamic.DeltaOverlay) are fixed for the
-        # engine's lifetime; resolve them once rather than per node visit --
-        # node_plan is the hot path of every traversal.  Plain CGRGraphs
-        # have none, leaving the static fast paths.  The plan builders are
-        # looked up on the graph at each miss instead, so a wrapper
-        # installed around them (and later removed) never outlives its
-        # removal in an engine built meanwhile.
+        # engine's lifetime; resolve them once rather than per window --
+        # plan resolution is the hot path of every traversal.  Plain
+        # CGRGraphs have none, leaving the static fast paths.  The plan
+        # builders are looked up on the graph for each window instead, so a
+        # wrapper installed around them (and later removed) never outlives
+        # its removal in an engine built meanwhile.
         self._merged_plans = hasattr(cgr_graph, "build_node_plan")
         self._node_epoch_of = getattr(cgr_graph, "node_epoch", None)
         self._is_dirty = getattr(cgr_graph, "is_dirty", None)
@@ -306,35 +299,46 @@ class GCGTEngine:
         """A fresh per-query traversal session over the resident graph."""
         return TraversalSession(self)
 
-    def node_plan(
-        self, node: int, prefetched: Prefetched | None = None
-    ) -> NodePlan:
-        """Decode plan of ``node``, served from the plan cache if present.
+    def node_plan(self, node: int) -> NodePlan:
+        """Decode plan of ``node``: a one-node :meth:`resolve_plans`."""
+        return self.resolve_plans([node])[0]
 
-        Graphs that maintain per-node deltas (:class:`repro.dynamic.
-        DeltaOverlay`) supply their own merged-plan builder and a per-node
-        mutation epoch; plain :class:`~repro.compression.cgr.CGRGraph`
-        objects fall back to the static structural decode at epoch 0.  A
-        plan in ``prefetched`` (see :meth:`prefetch_plans`) is consumed as
-        the build result, with its share of the batch decode time.
+    def resolve_plans(self, nodes: Sequence[int]) -> list[NodePlan]:
+        """The plans of one frontier window, in lookup order.
+
+        One pass over the window: the nodes' mutation epochs are read once
+        (plain :class:`~repro.compression.cgr.CGRGraph` objects are at
+        epoch 0), the predicted misses are batch-decoded
+        (:meth:`_batch_decode`), and the plan cache replays every lookup in
+        order (:meth:`~repro.service.cache.DecodedAdjacencyCache.resolve`),
+        so hits, misses, evictions and invalidations are those of one
+        lookup per node.  A miss without a batch plan -- a dirty overlay
+        node, a repeat of a node an earlier miss evicted, a window too
+        small to batch -- runs the scalar builder: the graph's merged
+        :meth:`~repro.dynamic.DeltaOverlay.build_node_plan` for graphs that
+        maintain per-node deltas, the structural
+        :func:`~repro.traversal.context.build_node_plan` otherwise.  Without
+        a plan cache every node's plan is built (batch or scalar) afresh.
         """
         graph = self.graph
-        decode_ns = 0
-        entry = prefetched.pop(node, None) if prefetched else None
-        if entry is not None:
-            plan, decode_ns = entry
-            build: Callable[[], NodePlan] = lambda: plan
-        elif self._merged_plans:
-            build = lambda: graph.build_node_plan(node)
+        if self._merged_plans:
+            build = graph.build_node_plan
         else:
-            build = lambda: build_node_plan(graph, node)
-        if self.plan_cache is not None:
-            epoch_of = self._node_epoch_of
-            epoch = epoch_of(node) if epoch_of is not None else 0
-            return self.plan_cache.lookup(node, build, epoch, decode_ns)
-        return build()
+            build = partial(build_node_plan, graph)
+        epoch_of = self._node_epoch_of
+        epochs = [0] * len(nodes) if epoch_of is None else list(map(epoch_of, nodes))
+        decoded = self._batch_decode(nodes, epochs)
+        cache = self.plan_cache
+        if cache is not None:
+            return cache.resolve(nodes, epochs, build, decoded)
+        return [
+            decoded[node][0] if node in decoded else build(node)
+            for node in nodes
+        ]
 
-    def prefetch_plans(self, nodes: Sequence[int]) -> Prefetched:
+    def _batch_decode(
+        self, nodes: Sequence[int], epochs: Sequence[int]
+    ) -> dict[int, tuple[NodePlan, int]]:
         """Batch-decode the plans that lookups of ``nodes`` will miss.
 
         Predicted misses are the distinct nodes whose plan is not resident
@@ -343,7 +347,7 @@ class GCGTEngine:
         at least :data:`MIN_PLAN_BATCH` remain they are decoded in one
         vectorized walk and the batch time is split evenly over them, so
         the misses' ``miss_decode_ns`` sums to it.  Returns ``{}`` -- every
-        lookup builds its own plan -- when the cache holds a plan for every
+        miss builds its own plan -- when the cache holds a plan for every
         node (the all-hit path pays no per-node pass), when the stream has
         no vectorized decode, or when the batch decode raises.
         """
@@ -355,14 +359,16 @@ class GCGTEngine:
             or (cache is not None and len(cache) >= graph.num_nodes)
         ):
             return {}
-        resident_epoch = cache.epoch_of if cache is not None else (
-            lambda node: None
-        )
-        epoch_of = self._node_epoch_of or (lambda node: 0)
-        is_dirty = self._is_dirty or (lambda node: False)
-        batch = [
-            node for node in dict.fromkeys(nodes)
-            if resident_epoch(node) != epoch_of(node) and not is_dirty(node)
+        window = dict(zip(nodes, epochs))
+        if cache is not None:
+            resident = cache.epoch_of
+            window = {
+                node: epoch for node, epoch in window.items()
+                if resident(node) != epoch
+            }
+        is_dirty = self._is_dirty
+        batch = list(window) if is_dirty is None else [
+            node for node in window if not is_dirty(node)
         ]
         if len(batch) < MIN_PLAN_BATCH:
             return {}
@@ -373,7 +379,7 @@ class GCGTEngine:
             else:
                 plans = build_node_plans(graph, batch)
         except Exception:
-            # Not swallowed: each lookup then runs its own scalar build,
+            # Not swallowed: each miss then runs its own scalar build,
             # which raises for the node at fault and counts the failure.
             return {}
         share, extra = divmod(time.perf_counter_ns() - began, len(batch))

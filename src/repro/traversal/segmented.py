@@ -11,11 +11,10 @@ Figure 9 and the segment-length trade-off studied in Figure 14.
 
 from __future__ import annotations
 
+from itertools import repeat, zip_longest
 from typing import Sequence
 
 from repro.traversal.context import ExpandContext, NodePlan, ResidualSegmentPlan
-from repro.traversal.cursor import CGRCursor
-from repro.traversal.strategy import LaneResidualState
 from repro.traversal.warp_decode import WarpCentricStrategy
 
 
@@ -25,78 +24,53 @@ class ResidualSegmentationStrategy(WarpCentricStrategy):
     name = "ResidualSegmentation"
 
     def residual_phase(self, ctx: ExpandContext, plans: Sequence[NodePlan]) -> None:
+        """Serve every residual segment as an independent warp-wave task."""
         # Every non-empty residual segment of every frontier node becomes an
         # independent task; tasks are served in warp-sized waves.
-        """Serve every residual segment as an independent warp-wave task."""
-        tasks: list[tuple[int, ResidualSegmentPlan]] = []
-        for plan in plans:
-            for segment in plan.residual_segments:
-                if segment.count > 0:
-                    tasks.append((plan.node, segment))
-        if not tasks:
-            return
-
+        tasks = [
+            (plan.node, segment)
+            for plan in plans
+            for segment in plan.residual_segments
+            if segment.count > 0
+        ]
         warp_size = ctx.warp.size
         for begin in range(0, len(tasks), warp_size):
-            wave = tasks[begin:begin + warp_size]
-            self._process_wave(ctx, wave)
+            self._process_wave(ctx, tasks[begin:begin + warp_size])
 
     def _process_wave(
         self,
         ctx: ExpandContext,
         wave: Sequence[tuple[int, ResidualSegmentPlan]],
     ) -> None:
-        """One wave: each lane decodes one segment; handling is cooperative."""
+        """One wave: each lane decodes one segment; handling is cooperative.
+
+        The whole wave is charged in one pass over the segments' residual
+        columns: one decode round for the ``resNum`` headers, then one
+        lock-step round per residual index (lane ``i`` decodes its ``i``-th
+        residual, exhausted lanes idle) with every decoded value staged in
+        shared memory, then warp-width handle rounds over the staged pairs
+        in round-major order.
+        """
+        segments = [segment for _, segment in wave]
         # Reading each segment's ``resNum`` header is one extra coalesced-ish
         # access per lane; charge it as a single decode round over the wave.
-        ctx.decode_step(
-            ctx.pad_to_warp([
-                (segment.data_start_bit - segment.count_bits, max(1, segment.count_bits))
-                for _, segment in wave
-            ])
+        ctx.decode_rounds(
+            [(segment.data_start_bit - segment.count_bits,) for segment in segments],
+            [(max(1, segment.count_bits),) for segment in segments],
         )
-
-        # Each lane's full residual stream as ``(neighbor, start, bits)``
-        # tuples.  Pre-decoded segments replay straight from the plan; the
-        # cursor fallback performs the identical walk, so the charged rounds
-        # below do not depend on which path produced the values.
-        lanes: list[tuple[int, Sequence[tuple[int, int, int]]]] = []
-        rounds = 0
-        for source, segment in wave:
-            if segment.decoded:
-                items: Sequence[tuple[int, int, int]] = segment.decoded
-            else:
-                state = LaneResidualState(
-                    source=source,
-                    cursor=CGRCursor(
-                        reader=ctx.graph.reader_at(source).fork(segment.data_start_bit),
-                        scheme=ctx.graph.config.scheme,
-                    ),
-                    segments=[segment],
-                )
-                walked: list[tuple[int, int, int]] = []
-                while state.remaining > 0:
-                    neighbor, (start, bits) = state.decode_next()
-                    walked.append((neighbor, start, bits))
-                items = walked
-            lanes.append((source, items))
-            rounds = max(rounds, len(items))
-
-        # One lock-step decode round per residual index: lane i contributes
-        # its i-th residual, exhausted lanes sit divergence-idle.
-        staged: list[tuple[int, int]] = []
-        for index in range(rounds):
-            ranges: list[tuple[int, int] | None] = [None] * ctx.warp.size
-            active = 0
-            for lane, (source, items) in enumerate(lanes):
-                if index < len(items):
-                    neighbor, start, bits = items[index]
-                    ranges[lane] = (start, bits)
-                    staged.append((source, neighbor))
-                    active += 1
-            ctx.warp.memory.shared_access(active)
-            ctx.decode_step(ranges)
-
-        for begin in range(0, len(staged), ctx.warp.size):
-            slice_pairs = staged[begin:begin + ctx.warp.size]
-            ctx.handle_step(ctx.pad_to_warp(slice_pairs))
+        ctx.decode_rounds(
+            [segment.starts for segment in segments],
+            [segment.bits for segment in segments],
+        )
+        staged = [
+            pair
+            for row in zip_longest(*[
+                zip(repeat(source), segment.ids) for source, segment in wave
+            ])
+            for pair in row
+            if pair is not None
+        ]
+        ctx.warp.memory.shared_access(len(staged))
+        warp_size = ctx.warp.size
+        for begin in range(0, len(staged), warp_size):
+            ctx.handle(staged[begin:begin + warp_size])

@@ -6,12 +6,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.traversal.context import (
-    ExpandContext,
-    NodePlan,
-    ResidualSegmentPlan,
-)
-from repro.traversal.cursor import CGRCursor
+from repro.traversal.context import ExpandContext, NodePlan
 
 
 class ExpansionStrategy(ABC):
@@ -34,16 +29,18 @@ class ExpansionStrategy(ABC):
 
     # -- helpers shared by the concrete strategies -----------------------------
 
-    def load_plans(self, ctx: ExpandContext, chunk: Sequence[int]) -> list[NodePlan]:
-        """Charge the frontier load and build one :class:`NodePlan` per lane.
+    def load_plans(
+        self, ctx: ExpandContext, chunk: Sequence[int]
+    ) -> Sequence[NodePlan]:
+        """Charge the frontier load and return one :class:`NodePlan` per lane.
 
-        Plans come through :meth:`ExpandContext.node_plan` so a resident
-        engine can serve them from its decoded-plan cache; the simulated cost
+        Plans come through :meth:`ExpandContext.chunk_plans`, so a resident
+        engine serves them from its decoded-plan cache; the simulated cost
         accounting is unchanged either way (plans are structural only -- the
         strategies still charge every decode round explicitly).
         """
         ctx.frontier_load_step(chunk)
-        return [ctx.node_plan(node) for node in chunk]
+        return ctx.chunk_plans(chunk)
 
 
 @dataclass
@@ -51,71 +48,46 @@ class LaneResidualState:
     """Mutable per-lane position inside a node's residual area.
 
     The residual area of a node may span several segments (after residual
-    segmentation); a lane walks them in order.  ``previous`` carries the last
-    decoded absolute neighbour id of the *current* segment because gaps are
-    relative within a segment and restart from the source node at a segment
-    boundary.
+    segmentation); a lane replays them in order from the plan's
+    pre-decoded columns, concatenated over the node's segments.
     """
 
     source: int
-    cursor: CGRCursor
-    segments: list[ResidualSegmentPlan]
-    segment_index: int = 0
-    decoded_in_segment: int = 0
-    previous: int | None = None
-
-    def __post_init__(self) -> None:
-        # Maintained counter: the inner scheduling loops poll ``remaining``
-        # once per lane per lock-step round, so it must be O(1).
-        self._remaining = sum(segment.count for segment in self.segments)
+    ids: Sequence[int]
+    starts: Sequence[int]
+    bits: Sequence[int]
+    position: int = 0
 
     @classmethod
-    def from_plan(cls, ctx: ExpandContext, plan: NodePlan) -> "LaneResidualState":
-        """Initialise a lane's residual cursor state from a node plan."""
-        state = cls(
-            source=plan.node,
-            cursor=CGRCursor.at_node(ctx.graph, plan.node),
-            segments=[s for s in plan.residual_segments if s.count > 0],
-        )
-        state._enter_segment()
-        return state
-
-    def _enter_segment(self) -> None:
-        self.decoded_in_segment = 0
-        self.previous = None
-        if self.segment_index < len(self.segments):
-            segment = self.segments[self.segment_index]
-            if not segment.decoded:
-                self.cursor = self.cursor.fork_at(segment.data_start_bit)
+    def from_plan(cls, plan: NodePlan) -> "LaneResidualState":
+        """A lane positioned on the first residual of ``plan``."""
+        segments = [s for s in plan.residual_segments if s.count > 0]
+        if len(segments) == 1:
+            only = segments[0]
+            return cls(plan.node, only.ids, only.starts, only.bits)
+        ids: list[int] = []
+        starts: list[int] = []
+        bits: list[int] = []
+        for segment in segments:
+            ids.extend(segment.ids)
+            starts.extend(segment.starts)
+            bits.extend(segment.bits)
+        return cls(plan.node, ids, starts, bits)
 
     @property
     def remaining(self) -> int:
         """Residuals left to decode across all remaining segments."""
-        return self._remaining
+        return len(self.ids) - self.position
 
     def decode_next(self) -> tuple[int, tuple[int, int]]:
-        """Decode the next residual; return ``(neighbor, bit_range)``.
+        """Replay the next residual; return ``(neighbor, bit_range)``.
 
-        Segments whose plan carries pre-decoded residuals are *replayed* --
-        the returned neighbour and bit range are identical to a live cursor
-        decode (so the charged decode rounds do not change), without walking
-        the bit stream again.
+        The neighbour and bit range are exactly what a live cursor decode
+        of the stream returns, so the charged decode rounds are those of
+        the real decode.
         """
-        if self.remaining <= 0:
+        index = self.position
+        if index >= len(self.ids):
             raise RuntimeError("no residuals remain for this lane")
-        segment = self.segments[self.segment_index]
-        if segment.decoded:
-            neighbor, start, bits = segment.decoded[self.decoded_in_segment]
-        else:
-            start = self.cursor.position
-            if self.previous is None:
-                neighbor, bits = self.cursor.decode_signed_gap(self.source)
-            else:
-                neighbor, bits = self.cursor.decode_following_gap(self.previous)
-        self.previous = neighbor
-        self.decoded_in_segment += 1
-        self._remaining -= 1
-        if self.decoded_in_segment >= segment.count:
-            self.segment_index += 1
-            self._enter_segment()
-        return neighbor, (start, bits)
+        self.position = index + 1
+        return self.ids[index], (self.starts[index], self.bits[index])

@@ -26,7 +26,7 @@ class TaskStealingStrategy(TwoPhaseStrategy):
 
     def residual_phase(self, ctx: ExpandContext, plans: Sequence[NodePlan]) -> None:
         """Run the two stealing stages over the chunk's residual work."""
-        states = [LaneResidualState.from_plan(ctx, plan) for plan in plans]
+        states = [LaneResidualState.from_plan(plan) for plan in plans]
         self.stage_one(ctx, states)
         self.stage_two(ctx, states)
 

@@ -95,7 +95,7 @@ class TwoPhaseStrategy(ExpansionStrategy):
 
     def residual_phase(self, ctx: ExpandContext, plans: Sequence[NodePlan]) -> None:
         """Round-by-round per-lane residual decoding (no stealing)."""
-        states = [LaneResidualState.from_plan(ctx, plan) for plan in plans]
+        states = [LaneResidualState.from_plan(plan) for plan in plans]
         while any(state.remaining > 0 for state in states):
             ranges: list[tuple[int, int] | None] = [None] * ctx.warp.size
             pairs: list[tuple[int, int] | None] = [None] * ctx.warp.size

@@ -170,7 +170,7 @@ class WarpCentricStrategy(TaskStealingStrategy):
                 short_plans = [plan for plan in plans if plan is not dominant]
 
         if short_plans:
-            short_states = [LaneResidualState.from_plan(ctx, plan) for plan in short_plans]
+            short_states = [LaneResidualState.from_plan(plan) for plan in short_plans]
             self.stage_one(ctx, short_states)
             self.stage_two(ctx, short_states)
 

@@ -17,12 +17,22 @@ Epochs here are *logical*: the count of effective batches applied to the
 graph name, not the overlay epoch (which also moves on compaction) -- so
 staleness measures real topology lag, and compacting a graph mid-stream
 never dirties a view.
+
+Every build, repair and drain ends by *publishing* the view's answer: one
+snapshot, with its arrays made read-only, stored on the registration.
+Reads serve the published answer with staleness recomputed at read time,
+so :meth:`ViewManager.peek` -- the front door's degraded read, which runs
+without the service lock -- never reads a view's working state in the
+middle of a repair (a half-reset union-find forest would give labels of
+neither epoch).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping
+
+import numpy as np
 
 from repro.dynamic.updates import DeltaRecord
 from repro.obs.trace import NOOP_TRACER
@@ -58,6 +68,9 @@ class _Registration:
     fresh_epoch: int
     #: Unconsumed delta records, oldest first (lazy policy only).
     pending: list[DeltaRecord] = field(default_factory=list)
+    #: The answer published at the end of the last build, repair or drain
+    #: (its staleness field is 0; reads restamp it).
+    published: ViewResult | None = None
 
 
 class ViewManager:
@@ -113,6 +126,7 @@ class ViewManager:
             refresh=refresh,
             fresh_epoch=self.registry.logical_epoch(graph),
         )
+        self._publish(registration)
         self._registrations[name] = registration
         return self._result(registration)
 
@@ -135,6 +149,7 @@ class ViewManager:
                 ):
                     registration.view.apply_delta(record)
                 registration.fresh_epoch = record.epoch
+                self._publish(registration)
             else:
                 registration.pending.append(record)
 
@@ -157,6 +172,7 @@ class ViewManager:
             registration.view.stats.full_recomputes += 1
             registration.view.stats.builds -= 1
             registration.fresh_epoch = self.registry.logical_epoch(graph)
+            self._publish(registration)
 
     # -- serving ---------------------------------------------------------------
 
@@ -194,6 +210,7 @@ class ViewManager:
             registration.fresh_epoch = self.registry.logical_epoch(
                 registration.graph
             )
+            self._publish(registration)
         else:
             self._drain(registration)
         registration.view.stats.refreshes += 1
@@ -210,6 +227,11 @@ class ViewManager:
         miss a deadline, a possibly-stale answer served in constant time
         beats no answer at all, and the staleness tag lets the caller
         enforce its own budget.
+
+        It takes no lock and reads no view state: the answer is the one
+        published at the end of the last build, repair or drain (all of
+        which run under the service lock), so a read racing a repair gets
+        the previous epoch's whole answer.
         """
         return self._result(self._require(name))
 
@@ -226,9 +248,10 @@ class ViewManager:
         node 3); views missing a matched key do not qualify.  Returns the
         first match in registration order, or ``None`` -- the front door's
         lookup for a degradation fallback, so absence must be an answer,
-        not an error.
+        not an error.  It iterates a copy of the registrations, so it is
+        safe against a concurrent :meth:`register_view` / :meth:`drop_view`.
         """
-        for name, registration in self._registrations.items():
+        for name, registration in tuple(self._registrations.items()):
             if registration.graph != graph:
                 continue
             if registration.view.kind != kind:
@@ -307,6 +330,7 @@ class ViewManager:
         ):
             registration.view.apply_delta(record)
         registration.fresh_epoch = record.epoch
+        self._publish(registration)
 
     def _staleness(self, registration: _Registration) -> int:
         """Logical epochs the view's state lags the graph."""
@@ -322,14 +346,32 @@ class ViewManager:
             return view.max_staleness
         return 0
 
+    def _publish(self, registration: _Registration) -> None:
+        """Snapshot the view's answer for every later read (see module doc)."""
+        view = registration.view
+        value = view.snapshot()
+        arrays = [value] if isinstance(value, np.ndarray) else [
+            item for item in vars(value).values() if isinstance(item, np.ndarray)
+        ]
+        for array in arrays:
+            array.setflags(write=False)
+        registration.published = ViewResult(
+            name=view.name, kind=view.kind, value=value,
+            epoch=registration.fresh_epoch, staleness=0,
+        )
+
     def _result(self, registration: _Registration) -> ViewResult:
-        """Package the view's current answer with its epoch tag."""
-        return ViewResult(
-            name=registration.view.name,
-            kind=registration.view.kind,
-            value=registration.view.snapshot(),
-            epoch=registration.fresh_epoch,
-            staleness=self._staleness(registration),
+        """The published answer, tagged with its staleness now.
+
+        Staleness is taken against the published answer's own epoch, not
+        ``fresh_epoch``, so an unlocked read that races a repair never tags
+        the previous epoch's answer as fresh.
+        """
+        published = registration.published
+        return replace(
+            published,
+            staleness=self.registry.logical_epoch(registration.graph)
+            - published.epoch,
         )
 
 

@@ -415,3 +415,108 @@ def test_drop_view_waits_for_an_in_flight_view_repair():
     assert service.views.names() == ["blocker", "last"]
     assert service.view_stats("last").batches_consumed == 1
     service.close()
+
+
+def test_degraded_peek_never_serves_a_half_repaired_view(monkeypatch):
+    """A view read without the service lock sees a whole epoch's answer.
+
+    The front door's degraded path (``views.find`` then ``views.peek``)
+    runs without the service lock.  Here the writer is paused inside the CC
+    view's deletion repair, after the affected members' forest slots were
+    reset: reading the forest then would give ``[0, 1, 2, 3, 4, 4]``, the
+    labels of neither epoch.  The read must serve the answer published
+    before the batch, tagged with its epoch and staleness.
+    """
+    from repro.graph.graph import Graph
+    from repro.views.cc import _UnionFind
+
+    service = TraversalService()
+    service.register_graph("g", Graph([[1], [2], [3], [], [5], []]))
+    service.register_view("cc", "g", kind="cc")
+    entered = threading.Event()
+    release = threading.Event()
+    union = _UnionFind.union
+
+    def paused_union(self, a, b):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(timeout=30)
+        return union(self, a, b)
+
+    monkeypatch.setattr(_UnionFind, "union", paused_union)
+    errors: list[BaseException] = []
+
+    def writer():
+        try:
+            service.apply_updates("g", [EdgeUpdate.delete(2, 3)])
+        except BaseException as error:  # surfaced by the assertion below
+            errors.append(error)
+
+    writing = threading.Thread(target=writer)
+    writing.start()
+    try:
+        assert entered.wait(timeout=30)
+        views = service.views
+        name = views.find("g", "cc", {})
+        during = views.peek(name)
+    finally:
+        release.set()
+        writing.join(timeout=30)
+    assert not errors, errors
+    assert name == "cc"
+    assert during.value.tolist() == [0, 0, 0, 0, 4, 4]
+    assert (during.epoch, during.staleness) == (0, 1)
+    after = service.views.peek("cc")
+    assert after.value.tolist() == [0, 0, 0, 3, 4, 4]
+    assert (after.epoch, after.staleness) == (1, 0)
+    assert service.view_result("cc").value.tolist() == [0, 0, 0, 3, 4, 4]
+    service.close()
+
+
+def test_view_find_is_safe_against_concurrent_registration():
+    """``find`` runs without the service lock while views come and go.
+
+    Iterating the live registration dict while another thread registers or
+    drops a view fails with "dictionary changed size during iteration";
+    a short thread switch interval makes that race show within the loop.
+    """
+    import sys
+
+    graph = web_locality_graph(24, avg_degree=3.0, seed=2)
+    service = TraversalService()
+    service.register_graph("g", graph)
+    for index in range(32):
+        service.register_view(
+            f"khop{index}", "g", kind="khop", params={"source": index % 24}
+        )
+    service.register_view("cc", "g", kind="cc")
+    previous_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    stop = threading.Event()
+    errors: list[BaseException] = []
+
+    def churn_views():
+        index = 0
+        try:
+            while not stop.is_set():
+                name = f"extra{index}"
+                service.register_view(name, "g", kind="cc")
+                service.drop_view(name)
+                index += 1
+        except BaseException as error:  # surfaced by the assertion below
+            errors.append(error)
+
+    churning = threading.Thread(target=churn_views)
+    churning.start()
+    found = []
+    try:
+        for _ in range(3000):
+            found.append(service.views.find("g", "pagerank", {"source": 0}))
+            found.append(service.views.find("g", "khop", {"source": 5}))
+    finally:
+        stop.set()
+        churning.join(timeout=30)
+        sys.setswitchinterval(previous_interval)
+    assert not errors, errors
+    assert set(found) == {None, "khop5"}
+    service.close()

@@ -168,9 +168,9 @@ class TestDeltaOverlayUnit:
         assert plan.degree == before.degree + 2
         extra = plan.residual_segments[-1]
         assert extra.count == 2
-        assert {n for n, _, _ in extra.decoded} == {17, 18}
+        assert set(extra.ids) == {17, 18}
         # The insert run lives in the side stream, past the frozen base.
-        assert all(start >= len(overlay.base.bits) for _, start, _ in extra.decoded)
+        assert all(start >= len(overlay.base.bits) for start in extra.starts)
 
     def test_materialize_equals_with_edge_updates(self):
         graph = chain_graph(30)
@@ -622,7 +622,7 @@ class TestDynamicServiceSurface:
         overlay.apply([EdgeUpdate.delete(0, 1)])  # tombstone-only for node 0
         plan = overlay.build_node_plan(0)
         assert overlay.stats().side_bits == side_before  # run reused, not re-encoded
-        assert {n for n, _, _ in plan.residual_segments[-1].decoded} == {20, 21}
+        assert set(plan.residual_segments[-1].ids) == {20, 21}
 
     def test_csr_rebuilds_lazily_after_updates(self):
         graph = chain_graph(25)

@@ -143,13 +143,16 @@ class TestBatchPlansEqualScalar:
         with pytest.raises(ValueError):
             build_node_plans(cgr, [-1])
 
-    def test_delta_codes_have_no_batch_path(self):
+    def test_delta_codes_have_no_batch_path(self, monkeypatch):
         config = CGRConfig(vlc_scheme="delta")
         cgr = CGRGraph.from_adjacency(_test_graph().adjacency(), config)
         with pytest.raises(VectorizedDecodeUnsupported):
             build_node_plans(cgr, [0, 1])
         engine = GCGTEngine(cgr, plan_cache=DecodedAdjacencyCache(8))
-        assert engine.prefetch_plans(list(range(cgr.num_nodes))) == {}
+        batches = _spy_batches(monkeypatch)
+        every = list(range(cgr.num_nodes))
+        assert engine.resolve_plans(every) == _scalar(cgr, every)
+        assert batches == []
 
     def test_decoder_state_is_resident_per_stream(self):
         cgr = CGRGraph.from_adjacency(_test_graph().adjacency())
@@ -191,7 +194,7 @@ class TestOverlayBatchPlans:
                 overlay.build_node_plan(node) for node in subset
             ]
 
-    def test_after_rebase_replace_and_restore(self, tmp_path):
+    def test_after_rebase_replace_and_restore(self, tmp_path, monkeypatch):
         service = TraversalService()
         graph = _test_graph()
         entry = service.register_graph("g", graph)
@@ -218,42 +221,107 @@ class TestOverlayBatchPlans:
         restored = restored_service.registry.restore(tmp_path / "snap")
         restored_state = check(restored.overlay)
         assert restored_state is not rebased.overlay.base.layout_decoder()
-        assert restored.engine.prefetch_plans(list(range(graph.num_nodes)))
+        batches = []
+        original = DeltaOverlay.build_node_plans
+        monkeypatch.setattr(
+            DeltaOverlay, "build_node_plans",
+            lambda self, nodes: batches.append(len(nodes)) or original(self, nodes),
+        )
+        restored.engine.resolve_plans(list(range(graph.num_nodes)))
+        assert batches  # the restored engine batch-decodes its misses
+        monkeypatch.undo()
 
         replaced = service.replace_graph("g", web_locality_graph(150, seed=9))
         assert check(replaced.overlay) is not rebased.overlay.base.layout_decoder()
 
 
+def _spy_batches(monkeypatch) -> list:
+    """Record the node lists every batch decode of a static graph gets."""
+    batches = []
+    original = gcgt.build_node_plans
+
+    def spy(graph, nodes):
+        batches.append(list(nodes))
+        return original(graph, nodes)
+
+    monkeypatch.setattr(gcgt, "build_node_plans", spy)
+    return batches
+
+
 class TestEnginePrefetch:
+    """Window resolution batch-decodes (prefetches) predicted misses."""
+
     def _engine(self, capacity):
         overlay = DeltaOverlay(CGRGraph.from_adjacency(_test_graph().adjacency()))
         return GCGTEngine(overlay, plan_cache=DecodedAdjacencyCache(capacity))
 
-    def test_prefetches_only_predicted_misses(self):
+    def test_prefetches_only_predicted_misses(self, monkeypatch):
         engine = self._engine(4096)
+        cache = engine.plan_cache
         nodes = list(range(100))
-        for node in nodes[:50]:
-            engine.node_plan(node)
+        engine.resolve_plans(nodes[:50])
+        assert (cache.hits, cache.misses) == (0, 50)
         engine.graph.apply([EdgeUpdate.insert(60, 1)])
-        prefetched = engine.prefetch_plans(nodes + nodes)
-        assert sorted(prefetched) == [n for n in nodes[50:] if n != 60]
-        total = sum(share for _, share in prefetched.values())
-        assert total > 0
-        for node, (plan, _) in prefetched.items():
-            assert plan == engine.graph.build_node_plan(node)
+        batches = []
+        original = DeltaOverlay.build_node_plans
 
-    def test_small_windows_and_all_hit_caches_skip_the_batch(self):
+        def spy(self, batch):
+            batches.append(list(batch))
+            return original(self, batch)
+
+        monkeypatch.setattr(DeltaOverlay, "build_node_plans", spy)
+        decode_before = cache.miss_decode_ns
+        plans = engine.resolve_plans(nodes + nodes)
+        # Distinct, not resident at their epoch, not dirty (60 is dirty).
+        assert batches == [[n for n in nodes[50:] if n != 60]]
+        assert plans == [engine.graph.build_node_plan(n) for n in nodes + nodes]
+        assert (cache.hits, cache.misses) == (50 + 100, 50 + 50)
+        assert cache.miss_decode_ns > decode_before
+
+    def test_predicted_hits_evicted_in_the_window_are_rebuilt(self):
+        engine = self._engine(40)
+        cache = engine.plan_cache
+        engine.resolve_plans([0])  # resident, so predicted to hit below
+        window = list(range(1, 60)) + [0]
+        plans = engine.resolve_plans(window)
+        assert plans == [engine.graph.build_node_plan(n) for n in window]
+        # Node 0 was the least recently used plan when node 40 missed.
+        assert (cache.hits, cache.misses) == (0, 61)
+        assert cache.evictions == 61 - 40
+
+    def test_small_windows_and_all_hit_caches_skip_the_batch(self, monkeypatch):
         engine = self._engine(4096)
-        assert engine.prefetch_plans(list(range(gcgt.MIN_PLAN_BATCH - 1))) == {}
-        for node in range(engine.num_nodes):
-            engine.node_plan(node)
+        batches = []
+        original = DeltaOverlay.build_node_plans
+        monkeypatch.setattr(
+            DeltaOverlay, "build_node_plans",
+            lambda self, nodes: batches.append(len(nodes)) or original(self, nodes),
+        )
+        engine.resolve_plans(list(range(gcgt.MIN_PLAN_BATCH - 1)))
+        assert batches == []
+        engine.resolve_plans(list(range(engine.num_nodes)))
+        assert batches == [engine.num_nodes - gcgt.MIN_PLAN_BATCH + 1]
         calls = []
         cache = engine.plan_cache
-        original = cache.epoch_of
-        cache.epoch_of = lambda node: calls.append(node) or original(node)
-        assert engine.prefetch_plans(list(range(engine.num_nodes))) == {}
+        original_epoch_of = cache.epoch_of
+        cache.epoch_of = lambda node: calls.append(node) or original_epoch_of(node)
+        hits = cache.hits
+        engine.resolve_plans(list(range(engine.num_nodes)))
         bfs(engine, 1)
         assert calls == []  # the all-hit path makes no per-node pass
+        assert batches == [engine.num_nodes - gcgt.MIN_PLAN_BATCH + 1]
+        assert cache.hits > hits + engine.num_nodes and cache.misses == engine.num_nodes
+
+    def test_without_a_cache_every_plan_is_built(self, monkeypatch):
+        cgr = CGRGraph.from_adjacency(_test_graph().adjacency())
+        engine = GCGTEngine(cgr)
+        batches = _spy_batches(monkeypatch)
+        every = list(range(cgr.num_nodes))
+        assert engine.resolve_plans(every + every[:5]) == _scalar(
+            cgr, every + every[:5]
+        )
+        assert batches == [every]
+        assert engine.node_plan(HUB) == build_node_plan(cgr, HUB)
 
     def test_batch_failure_falls_back_to_scalar_builds(self, monkeypatch):
         engine = self._engine(64)
@@ -263,7 +331,10 @@ class TestEnginePrefetch:
             raise RuntimeError("batch decode failed")
 
         monkeypatch.setattr(DeltaOverlay, "build_node_plans", explode)
-        assert engine.prefetch_plans(list(range(100))) == {}
+        every = list(range(100))
+        assert engine.resolve_plans(every) == [
+            engine.graph.build_node_plan(node) for node in every
+        ]
         assert list(bfs(engine, 1).levels) == list(expected)
         assert engine.plan_cache.build_failures == 0
 

@@ -339,10 +339,10 @@ class TestDeltaAndPartitionFiles:
             restored_plan = restored.build_node_plan(node)
             assert restored_plan.degree == original_plan.degree
             assert [
-                (s.data_start_bit, s.count, s.count_bits, s.decoded)
+                (s.data_start_bit, s.count, s.count_bits, s.ids, s.starts, s.bits)
                 for s in restored_plan.residual_segments
             ] == [
-                (s.data_start_bit, s.count, s.count_bits, s.decoded)
+                (s.data_start_bit, s.count, s.count_bits, s.ids, s.starts, s.bits)
                 for s in original_plan.residual_segments
             ]
 

@@ -82,12 +82,9 @@ class TestNodePlan:
 class TestLaneResidualState:
     def test_decodes_all_residuals_in_order(self, skewed_graph):
         cgr = encode_graph(skewed_graph.adjacency(), CGRConfig(residual_segment_bits=128))
-        metrics = KernelMetrics()
-        warp = Warp(8, metrics=metrics)
-        ctx = ExpandContext(cgr, warp, lambda u, v: True, FrontierQueue())
         hub = max(range(skewed_graph.num_nodes), key=skewed_graph.out_degree)
         plan = build_node_plan(cgr, hub)
-        state = LaneResidualState.from_plan(ctx, plan)
+        state = LaneResidualState.from_plan(plan)
         decoded = []
         while state.remaining > 0:
             neighbor, bit_range = state.decode_next()
@@ -98,10 +95,8 @@ class TestLaneResidualState:
 
     def test_decode_next_raises_when_exhausted(self, tiny_graph):
         cgr = encode_graph(tiny_graph.adjacency())
-        warp = Warp(4)
-        ctx = ExpandContext(cgr, warp, lambda u, v: True, FrontierQueue())
         plan = build_node_plan(cgr, 3)  # node 3 has no neighbours
-        state = LaneResidualState.from_plan(ctx, plan)
+        state = LaneResidualState.from_plan(plan)
         assert state.remaining == 0
         with pytest.raises(RuntimeError):
             state.decode_next()
