@@ -17,6 +17,9 @@ this file on every PR with ``MSBFS_SPEEDUP_MIN=5`` so regressions fail fast
 without making quick CI hostage to shared-runner noise, while the slow
 benchmarks job keeps the full bar.
 
+Every run prints the per-dataset and aggregate ratios, modelled and
+wall-clock, whether the gate passes or not.
+
 ``scripts/record_bench.py --only msbfs`` runs the same measurement and
 records the numbers into ``BENCH_msbfs.json`` so the perf trajectory is
 tracked across PRs.
@@ -40,7 +43,22 @@ def _threshold() -> float:
     return float(os.environ.get("MSBFS_SPEEDUP_MIN", FULL_GATE_SPEEDUP))
 
 
-def test_packed_sweep_is_multiples_faster_than_sequential_batch(run_once):
+def _report(results, aggregate: float, wall_aggregate: float) -> str:
+    """The gate's ratios, one line per dataset plus the aggregate."""
+    lines = [
+        f"msbfs gate: {result.dataset}: modelled {result.speedup:.1f}x, "
+        f"wall-clock {result.wall_speedup:.1f}x "
+        f"({result.sequential_seconds:.3f} s / {result.packed_seconds:.3f} s)"
+        for result in results
+    ]
+    lines.append(
+        f"msbfs gate: aggregate: modelled {aggregate:.1f}x, "
+        f"wall-clock {wall_aggregate:.1f}x (bar {_threshold():.1f}x)"
+    )
+    return "\n".join(lines)
+
+
+def test_packed_sweep_is_multiples_faster_than_sequential_batch(run_once, capsys):
     threshold = _threshold()
     results = run_once(run_msbfs_benchmark)
 
@@ -54,6 +72,10 @@ def test_packed_sweep_is_multiples_faster_than_sequential_batch(run_once):
     wall_aggregate = sum(r.sequential_seconds for r in results) / sum(
         r.packed_seconds for r in results
     )
+    # Printed past pytest's capture on every run, so the margin over the
+    # bar is on record whether the gate passes or not.
+    with capsys.disabled():
+        print("\n" + _report(results, aggregate, wall_aggregate))
     assert aggregate >= threshold, (
         f"aggregate modelled MS-BFS speedup {aggregate:.1f}x across "
         f"{len(results)} datasets, need >= {threshold:.1f}x"

@@ -5,7 +5,7 @@ it depends on, in pure Python:
 
 * :mod:`repro.compression` -- the compressed graph representation (CGR):
   variable-length codes, intervals/residuals, gap transformation, residual
-  segmentation, plus virtual-node and byte-RLE compression;
+  segmentation, plus byte-RLE compression;
 * :mod:`repro.graph` -- graph containers, CSR, synthetic dataset models;
 * :mod:`repro.reorder` -- node-reordering algorithms (DegSort, BFS, Gorder,
   LLP, SlashBurn);

@@ -219,18 +219,3 @@ def figure15(datasets: list[str] | None = None, scale: int | None = None) -> lis
 # files ``test_figure4_instruction_flow.py`` / ``test_figure5_parallel_decode.py``
 # because they exercise specific algorithm internals rather than dataset sweeps.
 # ---------------------------------------------------------------------------
-
-def all_figures(datasets: list[str] | None = None, scale: int | None = None) -> dict[str, list[dict]]:
-    """Regenerate every table/figure; keyed by artefact id."""
-    return {
-        "table1": table1(datasets, scale),
-        "table2": table2(),
-        "table3": table3(),
-        "figure8": figure8(datasets, scale),
-        "figure9": figure9(datasets, scale),
-        "figure11": figure11(datasets, scale),
-        "figure12": figure12(datasets, scale),
-        "figure13": figure13(datasets, scale),
-        "figure14": figure14(datasets, scale),
-        "figure15": figure15(datasets, scale),
-    }

@@ -1,8 +1,7 @@
 """Graph compression substrate.
 
 This package implements the compressed graph representation (CGR) of the
-paper, together with the auxiliary compression techniques it uses as
-preprocessing (virtual-node compression) or compares against (byte-RLE as in
+paper, together with the byte-RLE compression it compares against (as in
 Ligra+).
 
 Layers, bottom-up:
@@ -31,11 +30,6 @@ Layers, bottom-up:
 ``cgr``
     The full CGR encoder/decoder for whole graphs, with optional residual
     segmentation (Section 5.2).
-``segments``
-    Residual segmentation layout helpers.
-``virtual_nodes``
-    Virtual-node compression (category (i) in the paper's related work),
-    used as a preprocessing step before CGR in the evaluation.
 ``byte_rle``
     Byte-aligned run-length/gap encoding in the spirit of Ligra+, used by the
     Ligra+ baseline.
@@ -70,8 +64,6 @@ from repro.compression.intervals import (
     split_intervals_residuals,
 )
 from repro.compression.cgr import CGRConfig, CGRGraph, encode_graph
-from repro.compression.segments import SegmentedResiduals
-from repro.compression.virtual_nodes import VirtualNodeCompressor
 from repro.compression.byte_rle import ByteRLEGraph
 
 __all__ = [
@@ -102,7 +94,5 @@ __all__ = [
     "CGRConfig",
     "CGRGraph",
     "encode_graph",
-    "SegmentedResiduals",
-    "VirtualNodeCompressor",
     "ByteRLEGraph",
 ]

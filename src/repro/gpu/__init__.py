@@ -7,9 +7,9 @@ many device-memory transactions the access pattern generates (its Figure 4
 literally counts these quantities).  Since this reproduction runs on CPUs, the
 ``repro.gpu`` package provides those semantics as a simulator:
 
-* :class:`~repro.gpu.warp.Warp` -- a group of lock-step lanes with the warp
-  primitives the kernels use (``shfl``, ``ballot``, ``any``/``all`` votes,
-  exclusive scan) and shared-memory accounting;
+* :class:`~repro.gpu.warp.Warp` -- a group of lock-step lanes and their
+  round accounting (the kernels charge the warp primitives' shared-memory
+  cost where the pseudo-code calls them);
 * :class:`~repro.gpu.memory.DeviceMemory` -- a device-memory model that counts
   coalesced 128-byte transactions for word and bit-stream accesses;
 * :class:`~repro.gpu.metrics.KernelMetrics` -- the counters and the blended

@@ -94,13 +94,3 @@ class GPUDevice:
         paper's milliseconds when comparing against CPU baselines.
         """
         return self.cost_model.cost(metrics) / max(1, self.concurrent_warps)
-
-    @classmethod
-    def titan_v_like(cls, memory_scale_bytes: int | None = None) -> "GPUDevice":
-        """A device shaped like the paper's TITAN V.
-
-        ``memory_scale_bytes`` sets the simulated capacity; benchmarks pass a
-        value proportional to their scaled-down datasets so the relative
-        out-of-memory behaviour of Figure 8 is reproduced.
-        """
-        return cls(warp_size=32, cta_size=256, device_memory_bytes=memory_scale_bytes)

@@ -11,7 +11,7 @@ milliseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -103,14 +103,6 @@ class KernelMetrics:
             return 1.0
         return self.active_lane_slots / total
 
-    @property
-    def coalescing_efficiency(self) -> float:
-        """Requested words per transaction, normalised to the 32-word line."""
-        if self.memory_transactions == 0:
-            return 1.0
-        words_per_line = 32  # 128-byte line / 4-byte word
-        return min(1.0, self.memory_words / (self.memory_transactions * words_per_line))
-
     def cost(self, model: CostModel | None = None) -> float:
         """Scalar cost under ``model`` (default weights when omitted)."""
         return (model or CostModel()).cost(self)
@@ -129,11 +121,3 @@ class KernelMetrics:
             "launches": self.launches,
             "cost": self.cost(),
         }
-
-
-@dataclass
-class TraversalResult:
-    """Output of a simulated traversal: algorithm results plus the metrics."""
-
-    metrics: KernelMetrics = field(default_factory=KernelMetrics)
-    iterations: int = 0

@@ -1,30 +1,24 @@
-"""Warp primitives.
+"""The simulated warp: lock-step lanes and their round accounting.
 
-A warp is the smallest lock-step unit on the GPU; the paper's kernels rely on
-a handful of intra-warp communication primitives (Appendix A and the
-footnotes of Section 4): ``shfl`` broadcasts a register, ``ballot``/``any``
-votes across lanes, and ``exclusiveScan`` computes a prefix sum used both to
-compact frontier output and to share leftover interval/residual work.
-
-:class:`Warp` implements those primitives over plain Python lists indexed by
-lane id and charges the shared-memory/communication cost to the metrics
-object it was created with.  The traversal kernels hold per-lane state in
-lists of length ``warp.size`` and call these primitives exactly where the
-paper's pseudo-code does, so the simulated step counts line up with Figure 4.
+A warp is the smallest lock-step unit on the GPU.  :class:`Warp` carries its
+width, the metrics object its rounds are charged to and the
+:class:`~repro.gpu.memory.DeviceMemory` its lanes read through.  The paper's
+intra-warp primitives (Appendix A and the footnotes of Section 4: ``shfl``
+broadcasts, ``any``/``ballot`` votes, ``exclusiveScan`` prefix sums) have no
+objects here: the traversal kernels read per-lane work as columns of the
+chunk's plans and charge each primitive's cost -- a shared-memory access per
+broadcast, one per lane per scan, nothing for a vote -- at the point where
+the pseudo-code calls it, so the simulated step counts line up with Figure 4.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
-
 from repro.gpu.memory import DeviceMemory
 from repro.gpu.metrics import KernelMetrics
 
-T = TypeVar("T")
-
 
 class Warp:
-    """A group of ``size`` lock-step lanes with communication primitives."""
+    """A group of ``size`` lock-step lanes and the metrics their rounds feed."""
 
     def __init__(
         self,
@@ -51,71 +45,3 @@ class Warp:
         keeps the hot decode loops out of per-round Python call overhead.
         """
         self.metrics.record_rounds(active_lanes, self.size, rounds)
-
-    # -- vote primitives -----------------------------------------------------
-
-    def any(self, flags: Sequence[bool]) -> bool:
-        """``__any_sync``: true when any lane's predicate holds."""
-        self._check_width(flags)
-        return any(flags)
-
-    def all(self, flags: Sequence[bool]) -> bool:
-        """``__all_sync``: true when every lane's predicate holds."""
-        self._check_width(flags)
-        return all(flags)
-
-    def ballot(self, flags: Sequence[bool]) -> int:
-        """``__ballot_sync``: bit mask of lanes whose predicate holds."""
-        self._check_width(flags)
-        mask = 0
-        for lane, flag in enumerate(flags):
-            if flag:
-                mask |= 1 << lane
-        return mask
-
-    # -- data exchange primitives ---------------------------------------------
-
-    def shfl(self, values: Sequence[T], source_lane: int) -> T:
-        """``__shfl_sync``: broadcast ``values[source_lane]`` to all lanes."""
-        self._check_width(values)
-        if not 0 <= source_lane < self.size:
-            raise IndexError(f"source lane {source_lane} outside [0, {self.size})")
-        self.metrics.shared_memory_accesses += 1
-        return values[source_lane]
-
-    def exclusive_scan(self, values: Sequence[int]) -> tuple[list[int], int]:
-        """``exclusiveScan``: per-lane prefix sums and the total.
-
-        Returns ``(scatter, total)`` where ``scatter[lane]`` is the sum of the
-        values of lanes with a smaller id and ``total`` is the sum over the
-        whole warp -- the two outputs the paper's pseudo-code uses.
-        """
-        self._check_width(values)
-        scatter: list[int] = []
-        running = 0
-        for value in values:
-            if value < 0:
-                raise ValueError("exclusive_scan expects non-negative values")
-            scatter.append(running)
-            running += value
-        self.metrics.shared_memory_accesses += self.size
-        return scatter, running
-
-    # -- shared-memory staging -------------------------------------------------
-
-    def shared_buffer(self, length: int | None = None) -> list:
-        """Allocate a per-warp shared-memory staging buffer.
-
-        The buffer is plain Python storage; each later read/write should be
-        charged with :meth:`DeviceMemory.shared_access` by the caller (the
-        kernels charge one access per element they stage).
-        """
-        return [None] * (length if length is not None else self.size)
-
-    # -- helpers ---------------------------------------------------------------
-
-    def _check_width(self, values: Sequence) -> None:
-        if len(values) != self.size:
-            raise ValueError(
-                f"expected one value per lane ({self.size}), got {len(values)}"
-            )

@@ -9,7 +9,6 @@ round-trip generated graphs through files.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
 
 from repro.graph.graph import Graph
 
@@ -87,8 +86,3 @@ def _parse_header_nodes(line: str, current: int | None) -> int | None:
             except ValueError:
                 return current
     return current
-
-
-def edges_to_adjacency(num_nodes: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """Convenience: turn an edge iterable into sorted adjacency lists."""
-    return Graph.from_edges(num_nodes, edges).adjacency()

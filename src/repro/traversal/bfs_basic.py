@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.traversal.context import ExpandContext, NodePlan
-from repro.traversal.strategy import ExpansionStrategy, LaneResidualState
+from repro.traversal.strategy import ExpansionStrategy, residual_columns
 
 #: Operation kinds, in the priority order the warp scheduler serves them.
 OP_DECODE_INTERVAL = "decode_interval"
@@ -52,10 +52,8 @@ def build_lane_ops(ctx: ExpandContext, plan: NodePlan) -> list[LaneOp]:
         ops.append(LaneOp(OP_DECODE_INTERVAL, bit_range=descriptor_bits))
         for neighbor in interval.nodes():
             ops.append(LaneOp(OP_HANDLE, pair=(source, neighbor)))
-    residual_state = LaneResidualState.from_plan(plan)
-    while residual_state.remaining > 0:
-        neighbor, bit_range = residual_state.decode_next()
-        ops.append(LaneOp(OP_DECODE_RESIDUAL, bit_range=bit_range))
+    for neighbor, start, num_bits in zip(*residual_columns(plan)):
+        ops.append(LaneOp(OP_DECODE_RESIDUAL, bit_range=(start, num_bits)))
         ops.append(LaneOp(OP_HANDLE, pair=(source, neighbor)))
     return ops
 
@@ -70,43 +68,28 @@ class IntuitiveStrategy(ExpansionStrategy):
         plans = self.load_plans(ctx, chunk)
         streams = [build_lane_ops(ctx, plan) for plan in plans]
         cursors = [0] * len(streams)
-
-        def pending_kinds() -> set[str]:
-            kinds = set()
-            for lane, stream in enumerate(streams):
-                if cursors[lane] < len(stream):
-                    kinds.add(stream[cursors[lane]].kind)
-            return kinds
-
         while True:
-            kinds = pending_kinds()
-            if not kinds:
+            heads = [
+                (lane, stream[cursor])
+                for lane, (stream, cursor) in enumerate(zip(streams, cursors))
+                if cursor < len(stream)
+            ]
+            if not heads:
                 break
             # Divergence rule: serve one decode branch at a time; once no lane
             # is waiting on a decode, all lanes at a handle run together.
-            kind_to_run = None
-            for kind in _DECODE_PRIORITY:
-                if kind in kinds:
-                    kind_to_run = kind
-                    break
-            if kind_to_run is None:
-                kind_to_run = OP_HANDLE
-
-            selected: list[tuple[int, LaneOp]] = []
-            for lane, stream in enumerate(streams):
-                if cursors[lane] < len(stream) and stream[cursors[lane]].kind == kind_to_run:
-                    selected.append((lane, stream[cursors[lane]]))
-
+            kinds = {op.kind for _, op in heads}
+            kind_to_run = next(
+                (kind for kind in _DECODE_PRIORITY if kind in kinds), OP_HANDLE
+            )
+            selected = [(lane, op) for lane, op in heads if op.kind == kind_to_run]
             if kind_to_run == OP_HANDLE:
-                pairs: list[tuple[int, int] | None] = [None] * ctx.warp.size
-                for slot, (lane, op) in enumerate(selected):
-                    pairs[slot] = op.pair
-                ctx.handle_step(pairs)
+                ctx.handle([op.pair for _, op in selected])
             else:
-                ranges: list[tuple[int, int] | None] = [None] * ctx.warp.size
-                for slot, (lane, op) in enumerate(selected):
-                    ranges[slot] = op.bit_range
-                ctx.decode_step(ranges)
-
+                # One decode round: each selected lane reads one code.
+                ctx.decode_rounds(
+                    [(op.bit_range[0],) for _, op in selected],
+                    [(op.bit_range[1],) for _, op in selected],
+                )
             for lane, _ in selected:
                 cursors[lane] += 1

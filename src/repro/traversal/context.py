@@ -10,12 +10,17 @@ the paper's step diagrams (Figure 4) are made of:
 * a *frontier load* step (read ``inQueue`` and ``bitStart`` from device memory);
 * *decode* rounds (lanes read bits of the compressed stream):
   :meth:`ExpandContext.decode_rounds` charges lock-step rounds straight from
-  per-lane code columns, and :meth:`ExpandContext.decode_step` is its
-  one-round form;
-* a *handle* step (``appendIfUnvisited``: check/update application state and
+  per-lane code columns;
+* a *handle* round (``appendIfUnvisited``: check/update application state and
   cooperatively append qualified neighbours to ``outQueue``):
-  :meth:`ExpandContext.handle` takes the active lanes' pairs, and
-  :meth:`ExpandContext.handle_step` is its ``None``-padded form.
+  :meth:`ExpandContext.handle` takes the active lanes' pairs.
+
+Every rung charges through these two helpers alone: lanes are per-lane
+columns read from the chunk's plans, an idle lane is one with no code left
+in the round, and no per-lane list is padded to the warp width.  A rung
+that alternates decode and handle rounds calls them round by round, because
+the device memory keeps one line cache across all spaces and the filter
+order decides the next frontier.
 
 :func:`build_node_plan` performs the structural decode shared by all
 strategies: where a node's intervals are and where each residual segment
@@ -306,12 +311,17 @@ class ExpandContext:
         )
 
     def decode_rounds(
-        self, starts: Sequence[Sequence[int]], bits: Sequence[Sequence[int]]
+        self,
+        starts: Sequence[Sequence[int]],
+        bits: Sequence[Sequence[int]],
+        first: int = 0,
+        stop: int | None = None,
     ) -> None:
         """Charge lock-step serial-decode rounds over per-lane code columns.
 
         Lane ``j`` decodes the codes ``(starts[j][i], bits[j][i])`` in
-        order; round ``i`` runs every lane that still has an ``i``-th code,
+        order; round ``i`` (from ``first`` up to ``stop``, or until every
+        lane is exhausted) runs every lane that still has an ``i``-th code,
         while exhausted lanes sit divergence-idle.  Serially decoding a VLC
         value is a bit-by-bit scan, so a round costs
         ``ceil(longest_code / DECODE_BITS_PER_ROUND)`` (at least one)
@@ -328,11 +338,12 @@ class ExpandContext:
         line_bits = memory.cache_line_bytes * 8
         word_bits = memory.word_bytes * 8
         charge_lines = memory.charge_lines
-        lanes = [lane for lane in zip(starts, bits) if lane[1]]
+        lanes = [lane for lane in zip(starts, bits) if len(lane[1]) > first]
         if len(lanes) > size:
             raise ValueError(f"{len(lanes)} active lanes exceed warp size {size}")
-        index = rounds_total = active_slots = words = 0
-        while lanes:
+        index = first
+        rounds_total = active_slots = words = 0
+        while lanes and index != stop:
             lines: set[int] = set()
             add = lines.add
             longest = 0
@@ -342,12 +353,12 @@ class ExpandContext:
                     longest = num_bits
                 if num_bits > 0:
                     start = lane_starts[index]
-                    first = start // line_bits
-                    last = (start + num_bits - 1) // line_bits
-                    if first == last:
-                        add(first)
+                    first_line = start // line_bits
+                    last_line = (start + num_bits - 1) // line_bits
+                    if first_line == last_line:
+                        add(first_line)
                     else:
-                        lines.update(range(first, last + 1))
+                        lines.update(range(first_line, last_line + 1))
                     words += (num_bits + word_bits - 1) // word_bits
             rounds = -(-longest // DECODE_BITS_PER_ROUND) or 1
             rounds_total += rounds
@@ -361,17 +372,6 @@ class ExpandContext:
         metrics.active_lane_slots += active_slots
         metrics.idle_lane_slots += size * rounds_total - active_slots
         memory.metrics.memory_words += words
-
-    def decode_step(self, bit_ranges: Sequence[tuple[int, int] | None]) -> None:
-        """One serial-decode round per lane; ``None`` marks an idle lane.
-
-        The one-round form of :meth:`decode_rounds`: each active lane
-        decodes the single code ``(start_bit, num_bits)``.
-        """
-        active = [bit_range for bit_range in bit_ranges if bit_range is not None]
-        self.decode_rounds(
-            [(start,) for start, _ in active], [(num_bits,) for _, num_bits in active]
-        )
 
     def handle(self, pairs: Sequence[tuple[int, int]]) -> int:
         """One ``appendIfUnvisited`` round over the active lanes' pairs.
@@ -415,19 +415,3 @@ class ExpandContext:
             base = len(pending) - appended
             memory.access_words(range(base, base + appended), space="out_queue")
         return appended
-
-    def handle_step(self, pairs: Sequence[tuple[int, int] | None]) -> int:
-        """:meth:`handle` over per-lane pairs; ``None`` marks an idle lane."""
-        return self.handle([pair for pair in pairs if pair is not None])
-
-    # -- helpers ----------------------------------------------------------------
-
-    def pad_to_warp(self, items: Sequence) -> list:
-        """Pad a per-lane list with ``None`` up to the warp width."""
-        padded = list(items)
-        if len(padded) > self.warp.size:
-            raise ValueError(
-                f"chunk of {len(padded)} items exceeds warp size {self.warp.size}"
-            )
-        padded.extend([None] * (self.warp.size - len(padded)))
-        return padded

@@ -11,10 +11,10 @@ Figure 9 and the segment-length trade-off studied in Figure 14.
 
 from __future__ import annotations
 
-from itertools import repeat, zip_longest
 from typing import Sequence
 
 from repro.traversal.context import ExpandContext, NodePlan, ResidualSegmentPlan
+from repro.traversal.strategy import stage_rounds
 from repro.traversal.warp_decode import WarpCentricStrategy
 
 
@@ -58,19 +58,7 @@ class ResidualSegmentationStrategy(WarpCentricStrategy):
             [(segment.data_start_bit - segment.count_bits,) for segment in segments],
             [(max(1, segment.count_bits),) for segment in segments],
         )
-        ctx.decode_rounds(
-            [segment.starts for segment in segments],
-            [segment.bits for segment in segments],
-        )
-        staged = [
-            pair
-            for row in zip_longest(*[
-                zip(repeat(source), segment.ids) for source, segment in wave
-            ])
-            for pair in row
-            if pair is not None
-        ]
-        ctx.warp.memory.shared_access(len(staged))
-        warp_size = ctx.warp.size
-        for begin in range(0, len(staged), warp_size):
-            ctx.handle(staged[begin:begin + warp_size])
+        stage_rounds(ctx, [
+            (source, segment.ids, segment.starts, segment.bits)
+            for source, segment in wave
+        ])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from itertools import chain, islice, repeat, zip_longest
 from typing import Sequence
 
 from repro.traversal.context import ExpandContext, NodePlan
@@ -43,51 +43,72 @@ class ExpansionStrategy(ABC):
         return ctx.chunk_plans(chunk)
 
 
-@dataclass
-class LaneResidualState:
-    """Mutable per-lane position inside a node's residual area.
+#: One lane's residual work: the source node and its residuals' columns
+#: ``(ids, starts, bits)``, as :func:`residual_columns` returns them.
+ResidualLane = tuple[int, Sequence[int], Sequence[int], Sequence[int]]
 
-    The residual area of a node may span several segments (after residual
-    segmentation); a lane replays them in order from the plan's
-    pre-decoded columns, concatenated over the node's segments.
+
+def residual_columns(
+    plan: NodePlan,
+) -> tuple[Sequence[int], Sequence[int], Sequence[int]]:
+    """``(ids, starts, bits)`` of every residual of ``plan``, in segment order.
+
+    A node's residual area may span several segments (after residual
+    segmentation); a lane that owns the whole node walks them in order, so
+    their columns are concatenated.  A node whose residuals sit in one
+    segment gets that segment's own columns.
     """
+    segments = [segment for segment in plan.residual_segments if segment.count > 0]
+    if len(segments) == 1:
+        only = segments[0]
+        return only.ids, only.starts, only.bits
+    return (
+        tuple(chain.from_iterable(segment.ids for segment in segments)),
+        tuple(chain.from_iterable(segment.starts for segment in segments)),
+        tuple(chain.from_iterable(segment.bits for segment in segments)),
+    )
 
-    source: int
-    ids: Sequence[int]
-    starts: Sequence[int]
-    bits: Sequence[int]
-    position: int = 0
 
-    @classmethod
-    def from_plan(cls, plan: NodePlan) -> "LaneResidualState":
-        """A lane positioned on the first residual of ``plan``."""
-        segments = [s for s in plan.residual_segments if s.count > 0]
-        if len(segments) == 1:
-            only = segments[0]
-            return cls(plan.node, only.ids, only.starts, only.bits)
-        ids: list[int] = []
-        starts: list[int] = []
-        bits: list[int] = []
-        for segment in segments:
-            ids.extend(segment.ids)
-            starts.extend(segment.starts)
-            bits.extend(segment.bits)
-        return cls(plan.node, ids, starts, bits)
+def lockstep_rounds(
+    ctx: ExpandContext, lanes: Sequence[ResidualLane], stop: int
+) -> None:
+    """``handleResiduals``: rounds ``0 .. stop-1`` of per-lane decode + handle.
 
-    @property
-    def remaining(self) -> int:
-        """Residuals left to decode across all remaining segments."""
-        return len(self.ids) - self.position
+    In round ``i`` every lane that still has an ``i``-th residual decodes it
+    and hands its own pair to the same round's ``appendIfUnvisited``; the
+    decode and handle calls alternate round by round.
+    """
+    starts = [lane[2] for lane in lanes]
+    bits = [lane[3] for lane in lanes]
+    for index in range(stop):
+        ctx.decode_rounds(starts, bits, index, index + 1)
+        ctx.handle([
+            (source, ids[index]) for source, ids, _, _ in lanes if len(ids) > index
+        ])
 
-    def decode_next(self) -> tuple[int, tuple[int, int]]:
-        """Replay the next residual; return ``(neighbor, bit_range)``.
 
-        The neighbour and bit range are exactly what a live cursor decode
-        of the stream returns, so the charged decode rounds are those of
-        the real decode.
-        """
-        index = self.position
-        if index >= len(self.ids):
-            raise RuntimeError("no residuals remain for this lane")
-        self.position = index + 1
-        return self.ids[index], (self.starts[index], self.bits[index])
+def stage_rounds(
+    ctx: ExpandContext, lanes: Sequence[ResidualLane], first: int = 0
+) -> None:
+    """Decode into shared memory, then handle cooperatively.
+
+    Every lane decodes its residuals from index ``first`` on in lock-step
+    rounds (exhausted lanes idle), writing each decoded neighbour to a
+    shared-memory buffer in round-major order (one shared access each);
+    then the whole warp drains the buffer in warp-width ``appendIfUnvisited``
+    rounds.
+    """
+    ctx.decode_rounds([lane[2] for lane in lanes], [lane[3] for lane in lanes], first)
+    staged = [
+        pair
+        for row in zip_longest(*[
+            zip(repeat(source), islice(ids, first, None))
+            for source, ids, _, _ in lanes
+        ])
+        for pair in row
+        if pair is not None
+    ]
+    ctx.warp.memory.shared_access(len(staged))
+    warp_size = ctx.warp.size
+    for begin in range(0, len(staged), warp_size):
+        ctx.handle(staged[begin:begin + warp_size])

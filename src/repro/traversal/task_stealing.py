@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.traversal.context import ExpandContext, NodePlan
-from repro.traversal.strategy import LaneResidualState
+from repro.traversal.strategy import lockstep_rounds, residual_columns, stage_rounds
 from repro.traversal.two_phase import TwoPhaseStrategy
 
 
@@ -25,53 +25,18 @@ class TaskStealingStrategy(TwoPhaseStrategy):
     name = "TaskStealing"
 
     def residual_phase(self, ctx: ExpandContext, plans: Sequence[NodePlan]) -> None:
-        """Run the two stealing stages over the chunk's residual work."""
-        states = [LaneResidualState.from_plan(plan) for plan in plans]
-        self.stage_one(ctx, states)
-        self.stage_two(ctx, states)
+        """Run the two stealing stages over the chunk's residual work.
 
-    # -- stage 1: every lane works on its own residuals -------------------------
-
-    def stage_one(self, ctx: ExpandContext, states: Sequence[LaneResidualState]) -> None:
-        """While *all* lanes still have residuals, each decodes and handles its own."""
-        if not states:
-            return
-        while all(state.remaining > 0 for state in states):
-            ranges: list[tuple[int, int] | None] = [None] * ctx.warp.size
-            pairs: list[tuple[int, int] | None] = [None] * ctx.warp.size
-            for lane, state in enumerate(states):
-                neighbor, bit_range = state.decode_next()
-                ranges[lane] = bit_range
-                pairs[lane] = (state.source, neighbor)
-            ctx.decode_step(ranges)
-            ctx.handle_step(pairs)
-
-    # -- stage 2: decode into shared memory, handle cooperatively ---------------
-
-    def stage_two(self, ctx: ExpandContext, states: Sequence[LaneResidualState]) -> None:
-        """Loaded lanes keep decoding; idle lanes steal the handling work."""
-        remaining = [state.remaining for state in states]
-        if not any(count > 0 for count in remaining):
-            return
-        scan_input = list(remaining) + [0] * (ctx.warp.size - len(remaining))
-        ctx.warp.exclusive_scan(scan_input)
-
-        staged: list[tuple[int, int]] = []
-        # Decoding rounds: still one residual per loaded lane per round, but
-        # the decoded values go to shared memory instead of being handled
-        # immediately by the decoding lane.
-        while any(state.remaining > 0 for state in states):
-            ranges: list[tuple[int, int] | None] = [None] * ctx.warp.size
-            for lane, state in enumerate(states):
-                if state.remaining > 0:
-                    neighbor, bit_range = state.decode_next()
-                    ranges[lane] = bit_range
-                    staged.append((state.source, neighbor))
-                    ctx.warp.memory.shared_access(1)
-            ctx.decode_step(ranges)
-
-        # Cooperative handling: all lanes drain the shared buffer warp-width
-        # at a time, so the handle cost is ceil(total / warp_size) rounds.
-        for begin in range(0, len(staged), ctx.warp.size):
-            slice_pairs = staged[begin:begin + ctx.warp.size]
-            ctx.handle_step(ctx.pad_to_warp(slice_pairs))
+        Stage 1: while *every* lane still has residuals, each decodes and
+        handles its own.  Stage 2: once any lane has drained, an
+        ``exclusiveScan`` of the remaining counts sizes the shared buffer,
+        the loaded lanes keep decoding into it and the whole warp steals the
+        handling, ``ceil(staged / warp_size)`` rounds in all.
+        """
+        lanes = [(plan.node, *residual_columns(plan)) for plan in plans]
+        shared_rounds = min((len(lane[1]) for lane in lanes), default=0)
+        lockstep_rounds(ctx, lanes, shared_rounds)
+        if any(len(lane[1]) > shared_rounds for lane in lanes):
+            # exclusiveScan of the remaining counts: one shared access per lane.
+            ctx.warp.memory.shared_access(ctx.warp.size)
+            stage_rounds(ctx, lanes, shared_rounds)

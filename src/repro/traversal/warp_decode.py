@@ -28,7 +28,6 @@ from repro.traversal.context import (
     NodePlan,
     ResidualSegmentPlan,
 )
-from repro.traversal.strategy import LaneResidualState
 from repro.traversal.task_stealing import TaskStealingStrategy
 
 #: Upper bound on a single code word's length used when charging the memory
@@ -169,10 +168,7 @@ class WarpCentricStrategy(TaskStealingStrategy):
                 long_plans = [dominant]
                 short_plans = [plan for plan in plans if plan is not dominant]
 
-        if short_plans:
-            short_states = [LaneResidualState.from_plan(plan) for plan in short_plans]
-            self.stage_one(ctx, short_states)
-            self.stage_two(ctx, short_states)
+        super().residual_phase(ctx, short_plans)
 
         for plan in long_plans:
             for segment in plan.residual_segments:
@@ -204,12 +200,10 @@ class WarpCentricStrategy(TaskStealingStrategy):
             # window; the pointer-jumping rounds then touch only
             # registers/shared memory.
             decode_rounds = max(1, -(-result.max_code_bits // DECODE_BITS_PER_ROUND))
-            for _ in range(decode_rounds):
-                ctx.warp.step(active_lanes=warp_size)
+            ctx.warp.step_rounds(warp_size, decode_rounds)
             ctx.warp.memory.access_bit_ranges([(position, warp_size + MAX_CODE_BITS)])
-            for _ in range(result.marking_rounds):
-                ctx.warp.step(active_lanes=warp_size)
-                ctx.warp.memory.shared_access(warp_size)
+            ctx.warp.step_rounds(warp_size, result.marking_rounds)
+            ctx.warp.memory.shared_access(warp_size * result.marking_rounds)
 
             if not result.values:
                 # Degenerate window (single code longer than the window and
@@ -237,8 +231,7 @@ class WarpCentricStrategy(TaskStealingStrategy):
             # Handle a full warp-width batch as soon as one is staged; the
             # remainder is flushed after the whole run is decoded.
             while len(staged) >= warp_size:
-                ctx.handle_step(staged[:warp_size])
+                ctx.handle(staged[:warp_size])
                 staged = staged[warp_size:]
             position = result.next_position
-        if staged:
-            ctx.handle_step(ctx.pad_to_warp(staged))
+        ctx.handle(staged)

@@ -191,9 +191,5 @@ class CCView(MaterializedView):
         """The current min-id component labels (a copy, ``int64``)."""
         return self._forest.labels()
 
-    def union_forest(self) -> np.ndarray:
-        """The raw parent array (for tests inspecting the resident forest)."""
-        return self._forest.parent.copy()
-
 
 __all__ = ["CCView"]

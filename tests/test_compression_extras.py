@@ -1,82 +1,11 @@
-"""Tests for residual-segment helpers, virtual-node compression and byte-RLE."""
+"""Tests for byte-RLE compression."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compression.byte_rle import ByteRLEGraph
-from repro.compression.cgr import CGRConfig, encode_graph
-from repro.compression.segments import (
-    SegmentedResiduals,
-    average_segments_per_node,
-    padding_overhead_bits,
-)
-from repro.compression.virtual_nodes import VirtualNodeCompressor
+from repro.compression.cgr import encode_graph
 from repro.graph.generators import web_locality_graph
-
-
-class TestSegmentedResiduals:
-    def test_unsegmented_graph_reports_single_pseudo_segment(self, tiny_graph):
-        cgr = encode_graph(tiny_graph.adjacency(), CGRConfig(residual_segment_bits=None))
-        view = SegmentedResiduals.from_graph(cgr, 0)
-        assert view.segment_count == 1
-        assert view.segment_bits is None
-
-    def test_segmented_view_matches_layout(self, skewed_graph):
-        cgr = encode_graph(skewed_graph.adjacency(), CGRConfig(residual_segment_bits=128))
-        hub = max(range(skewed_graph.num_nodes), key=skewed_graph.out_degree)
-        view = SegmentedResiduals.from_graph(cgr, hub)
-        layout = cgr.layout(hub)
-        assert view.total_residuals == layout.residual_count
-        assert view.segment_count == len(layout.segment_counts)
-
-    def test_padding_overhead_zero_when_unsegmented(self, tiny_graph):
-        cgr = encode_graph(tiny_graph.adjacency(), CGRConfig(residual_segment_bits=None))
-        assert padding_overhead_bits(cgr) == 0
-
-    def test_padding_overhead_non_negative(self, skewed_graph):
-        cgr = encode_graph(skewed_graph.adjacency(), CGRConfig(residual_segment_bits=64))
-        assert padding_overhead_bits(cgr) >= 0
-
-    def test_smaller_segments_mean_more_segments(self, skewed_graph):
-        small = encode_graph(skewed_graph.adjacency(), CGRConfig(residual_segment_bits=64))
-        large = encode_graph(skewed_graph.adjacency(), CGRConfig(residual_segment_bits=512))
-        assert average_segments_per_node(small) >= average_segments_per_node(large)
-
-
-class TestVirtualNodes:
-    def test_compresses_shared_patterns(self):
-        # Ten adjacency lists sharing the same three-node pattern.
-        pattern = [100, 101, 102]
-        adjacency = [sorted(pattern + [i]) for i in range(10)] + [[] for _ in range(95)]
-        result = VirtualNodeCompressor(min_support=3).compress(adjacency)
-        assert result.num_virtual_nodes >= 1
-        assert result.compressed_edge_count < result.original_edge_count
-        assert result.edge_reduction_ratio > 1.0
-
-    def test_expansion_restores_original_neighbours(self):
-        pattern = [50, 51, 52, 53]
-        adjacency = [sorted(pattern + [60 + i]) for i in range(8)] + [[] for _ in range(70)]
-        result = VirtualNodeCompressor(min_support=3).compress(adjacency)
-        for node in range(8):
-            assert result.expand_neighbors(node) == sorted(pattern + [60 + node])
-
-    def test_no_patterns_no_virtual_nodes(self):
-        adjacency = [[i + 1] for i in range(9)] + [[]]
-        result = VirtualNodeCompressor(min_support=3).compress(adjacency)
-        assert result.num_virtual_nodes == 0
-        assert result.edge_reduction_ratio == 1.0
-
-    def test_expand_virtual_rejects_virtual_id(self):
-        pattern = [10, 11, 12]
-        adjacency = [sorted(pattern) for _ in range(5)] + [[] for _ in range(20)]
-        result = VirtualNodeCompressor(min_support=3).compress(adjacency)
-        if result.num_virtual_nodes:
-            with pytest.raises(IndexError):
-                result.expand_neighbors(result.num_real_nodes)
-
-    def test_min_support_validation(self):
-        with pytest.raises(ValueError):
-            VirtualNodeCompressor(min_support=1)
 
 
 class TestByteRLE:

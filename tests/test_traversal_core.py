@@ -8,7 +8,7 @@ from repro.gpu.warp import Warp
 from repro.traversal.context import ExpandContext, build_node_plan
 from repro.traversal.cursor import CGRCursor
 from repro.traversal.frontier import FrontierQueue
-from repro.traversal.strategy import LaneResidualState
+from repro.traversal.strategy import residual_columns
 
 
 class TestFrontierQueue:
@@ -79,27 +79,32 @@ class TestNodePlan:
             assert len(plan.interval_descriptor_bits) == len(plan.intervals)
 
 
-class TestLaneResidualState:
-    def test_decodes_all_residuals_in_order(self, skewed_graph):
+class TestResidualColumns:
+    def test_segments_concatenate_in_segment_order(self, skewed_graph):
         cgr = encode_graph(skewed_graph.adjacency(), CGRConfig(residual_segment_bits=128))
         hub = max(range(skewed_graph.num_nodes), key=skewed_graph.out_degree)
         plan = build_node_plan(cgr, hub)
-        state = LaneResidualState.from_plan(plan)
-        decoded = []
-        while state.remaining > 0:
-            neighbor, bit_range = state.decode_next()
-            decoded.append(neighbor)
-            assert bit_range[1] > 0
-        layout = cgr.layout(hub)
-        assert sorted(decoded) == sorted(layout.residuals)
+        segments = [s for s in plan.residual_segments if s.count > 0]
+        assert len(segments) > 1
+        ids, starts, bits = residual_columns(plan)
+        assert list(ids) == [i for s in segments for i in s.ids]
+        assert list(starts) == [i for s in segments for i in s.starts]
+        assert list(bits) == [i for s in segments for i in s.bits]
+        assert all(num_bits > 0 for num_bits in bits)
+        assert sorted(ids) == sorted(cgr.layout(hub).residuals)
 
-    def test_decode_next_raises_when_exhausted(self, tiny_graph):
+    def test_single_segment_returns_its_own_columns(self, web_graph):
+        cgr = encode_graph(web_graph.adjacency(), CGRConfig(residual_segment_bits=None))
+        node = max(range(web_graph.num_nodes), key=lambda n: cgr.layout(n).residual_count)
+        plan = build_node_plan(cgr, node)
+        (only,) = [s for s in plan.residual_segments if s.count > 0]
+        ids, starts, bits = residual_columns(plan)
+        assert ids is only.ids and starts is only.starts and bits is only.bits
+
+    def test_node_without_residuals_has_empty_columns(self, tiny_graph):
         cgr = encode_graph(tiny_graph.adjacency())
         plan = build_node_plan(cgr, 3)  # node 3 has no neighbours
-        state = LaneResidualState.from_plan(plan)
-        assert state.remaining == 0
-        with pytest.raises(RuntimeError):
-            state.decode_next()
+        assert [len(column) for column in residual_columns(plan)] == [0, 0, 0]
 
 
 class TestExpandContext:
@@ -111,7 +116,7 @@ class TestExpandContext:
         ctx = ExpandContext(cgr, warp, filter_fn or (lambda u, v: True), out)
         return ctx, metrics, out
 
-    def test_handle_step_appends_qualified_neighbors(self, tiny_graph):
+    def test_handle_appends_qualified_neighbors(self, tiny_graph):
         seen = set()
 
         def visit_once(u, v):
@@ -121,32 +126,52 @@ class TestExpandContext:
             return True
 
         ctx, metrics, out = self.make_ctx(tiny_graph, filter_fn=visit_once)
-        appended = ctx.handle_step([(0, 1), (0, 3), (0, 1), None])
+        appended = ctx.handle([(0, 1), (0, 3), (0, 1)])
         assert appended == 2
         assert sorted(out.pending) == [1, 3]
         assert metrics.instruction_rounds == 1
+        assert metrics.idle_lane_slots == 1
         assert metrics.atomic_operations == 1
 
-    def test_handle_step_with_all_idle_lanes_is_free(self, tiny_graph):
+    def test_handle_of_no_pairs_is_free(self, tiny_graph):
         ctx, metrics, _ = self.make_ctx(tiny_graph)
-        assert ctx.handle_step([None, None, None, None]) == 0
+        assert ctx.handle([]) == 0
         assert metrics.instruction_rounds == 0
+        assert metrics.memory_transactions == 0
 
-    def test_decode_step_charges_rounds_by_code_length(self, tiny_graph):
+    def test_handle_rejects_more_pairs_than_lanes(self, tiny_graph):
+        ctx, _, _ = self.make_ctx(tiny_graph, warp_size=2)
+        with pytest.raises(ValueError):
+            ctx.handle([(0, 1), (0, 2), (0, 3)])
+
+    def test_decode_rounds_charge_rounds_by_code_length(self, tiny_graph):
         ctx, metrics, _ = self.make_ctx(tiny_graph)
-        ctx.decode_step([(0, 20), None, (5, 4), None])
+        ctx.decode_rounds([(0,), (5,)], [(20,), (4,)])
         # 20 bits at 8 bits/round -> 3 rounds, all with 2 active lanes.
         assert metrics.instruction_rounds == 3
         assert metrics.idle_lane_slots == 3 * 2
+
+    def test_decode_rounds_idle_exhausted_lanes(self, tiny_graph):
+        ctx, metrics, _ = self.make_ctx(tiny_graph)
+        # Round 0: both lanes (1 round); rounds 1-2: only the first lane.
+        ctx.decode_rounds([(0, 8, 16), (), (40,)], [(8, 8, 8), (), (8,)])
+        assert metrics.instruction_rounds == 3
+        assert metrics.active_lane_slots == 2 + 1 + 1
+        assert metrics.idle_lane_slots == 2 + 3 + 3
+
+    def test_decode_rounds_range_charges_only_its_rounds(self, tiny_graph):
+        ctx, metrics, _ = self.make_ctx(tiny_graph)
+        ctx.decode_rounds([(0, 8, 16), (40,)], [(8, 8, 24), (8,)], 1, 2)
+        assert metrics.instruction_rounds == 1
+        assert metrics.active_lane_slots == 1
+
+    def test_decode_rounds_rejects_more_lanes_than_warp(self, tiny_graph):
+        ctx, _, _ = self.make_ctx(tiny_graph, warp_size=2)
+        with pytest.raises(ValueError):
+            ctx.decode_rounds([(0,), (8,), (16,)], [(8,), (8,), (8,)])
 
     def test_frontier_load_step(self, tiny_graph):
         ctx, metrics, _ = self.make_ctx(tiny_graph)
         ctx.frontier_load_step([0, 1, 2])
         assert metrics.instruction_rounds == 1
         assert metrics.memory_transactions >= 1
-
-    def test_pad_to_warp_validates_length(self, tiny_graph):
-        ctx, _, _ = self.make_ctx(tiny_graph, warp_size=2)
-        assert ctx.pad_to_warp([1]) == [1, None]
-        with pytest.raises(ValueError):
-            ctx.pad_to_warp([1, 2, 3])
