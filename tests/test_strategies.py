@@ -11,6 +11,7 @@ import pytest
 
 from repro.apps.bfs import bfs, reference_bfs_levels
 from repro.compression.cgr import CGRConfig, encode_graph
+from repro.compression.intervals import Interval
 from repro.gpu.device import GPUDevice
 from repro.gpu.metrics import KernelMetrics
 from repro.gpu.warp import Warp
@@ -87,6 +88,26 @@ def test_two_phase_uses_fewer_rounds_than_intuitive_on_interval_heavy_graph(web_
     _, intuitive = expand_with_strategy(IntuitiveStrategy(), web_graph, frontier)
     _, two_phase = expand_with_strategy(TwoPhaseStrategy(), web_graph, frontier)
     assert two_phase.instruction_rounds < intuitive.instruction_rounds
+
+
+def test_two_phase_interval_expansion_charges_shfl_per_slice_and_one_scan(tiny_graph):
+    metrics = KernelMetrics()
+    out = FrontierQueue()
+    ctx = ExpandContext(
+        encode_graph(tiny_graph.adjacency()), Warp(4, metrics=metrics),
+        lambda u, v: True, out,
+    )
+    # Lane 0: two warp-width slices under the leader, one leftover.
+    # Lane 1: shorter than a warp, two leftovers.
+    TwoPhaseStrategy()._expand_intervals(ctx, [(0, Interval(10, 9)), (1, Interval(20, 2))])
+    assert out.pending == list(range(10, 19)) + [20, 21]
+    assert metrics.instruction_rounds == 3
+    assert metrics.active_lane_slots == 4 + 4 + 3
+    assert metrics.idle_lane_slots == 1
+    # Stage 1: one shfl per slice + one label exchange per lane of each slice.
+    # Stage 2: a warp-wide scan, one buffer access per leftover, then the
+    # leftover round's label exchange.
+    assert metrics.shared_memory_accesses == (2 + 2 * 4) + (4 + 3 + 3)
 
 
 def test_task_stealing_reduces_rounds_on_skewed_residuals(skewed_graph):
